@@ -160,13 +160,14 @@ def _cmd_fit(args) -> int:
     if args.ranks == "auto" or args.eta == "auto":
         plan = make_cv_plan(data.n, seed=args.seed)
         if args.ranks == "auto" and args.eta == "auto":
-            eta, ranks, *_ = select_model(raw, y_raw, plan, compress=compress)
+            eta, ranks, *_ = select_model(raw, y_raw, plan, compress=compress, policy=policy)
         elif args.ranks == "auto":
             eta = float(args.eta)
-            ranks, _ = select_ranks(raw, y_raw, eta, plan, compress=compress)
+            ranks, _ = select_ranks(raw, y_raw, eta, plan, compress=compress, policy=policy)
         else:
             ranks = _parse_ranks(args.ranks, data.k)
-            eta, _ = select_eta(raw, y_raw, ranks, DEFAULT_ETA_GRID, plan, compress=compress)
+            eta, _ = select_eta(raw, y_raw, ranks, DEFAULT_ETA_GRID, plan, compress=compress,
+                                policy=policy)
     else:
         ranks = _parse_ranks(args.ranks, data.k)
         eta = float(args.eta)

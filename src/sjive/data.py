@@ -9,6 +9,7 @@ re-applied to new data.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,42 +38,37 @@ def load_csv(path, samples_in_rows: bool = False) -> LabeledMatrix:
     With ``samples_in_rows=True`` the file holds samples as rows and the
     result is transposed. Ragged rows, non-numeric or non-finite cells and
     duplicate identifiers raise ParseError naming the offending location.
+
+    Rows are streamed and each row's cells are converted in one call
+    (numpy accepts exactly the strings ``float`` accepts); the cell-by-cell
+    scan runs only on a row that fails, to name the bad cell.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if len(rows) < 2:
-        raise ParseError(f"{path}: expected a header row and at least one data row")
-    header = rows[0]
-    if len(header) < 2:
-        raise ParseError(f"{path}: header must contain at least one sample id")
-    col_ids = [c.strip() for c in header[1:]]
-    row_ids: list[str] = []
-    data = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: row {r} ('{row[0].strip() if row else ''}') has "
-                f"{len(row) - 1} values, expected {len(col_ids)}"
-            )
-        rid = row[0].strip()
-        vals = np.empty(len(col_ids))
-        for c, cell in enumerate(row[1:]):
-            try:
-                v = float(cell)
-            except ValueError:
+        rows = (row for row in csv.reader(fh) if row)
+        header = next(rows, None)
+        first = next(rows, None)
+        if first is None:
+            raise ParseError(f"{path}: expected a header row and at least one data row")
+        if len(header) < 2:
+            raise ParseError(f"{path}: header must contain at least one sample id")
+        col_ids = [c.strip() for c in header[1:]]
+        row_ids: list[str] = []
+        data = []
+        for r, row in enumerate(itertools.chain([first], rows), start=2):
+            if len(row) != len(header):
                 raise ParseError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row '{rid}', "
-                    f"column '{col_ids[c]}'"
-                ) from None
-            if not np.isfinite(v):
-                raise ParseError(
-                    f"{path}: non-finite value {cell.strip()!r} at row '{rid}', "
-                    f"column '{col_ids[c]}'"
+                    f"{path}: row {r} ('{row[0].strip() if row else ''}') has "
+                    f"{len(row) - 1} values, expected {len(col_ids)}"
                 )
-            vals[c] = v
-        row_ids.append(rid)
-        data.append(vals)
+            rid = row[0].strip()
+            try:
+                vals = np.array(row[1:], dtype=float)
+            except ValueError:
+                vals = None
+            if vals is None or not np.isfinite(vals).all():
+                vals = _scan_row(path, row, rid, col_ids)
+            row_ids.append(rid)
+            data.append(vals)
     for name, ids in (("row", row_ids), ("column", col_ids)):
         seen = set()
         for i in ids:
@@ -83,6 +79,26 @@ def load_csv(path, samples_in_rows: bool = False) -> LabeledMatrix:
     if samples_in_rows:
         return LabeledMatrix(values.T.copy(), row_ids=col_ids, col_ids=row_ids)
     return LabeledMatrix(values, row_ids=row_ids, col_ids=col_ids)
+
+
+def _scan_row(path, row, rid, col_ids) -> np.ndarray:
+    """Convert one row cell by cell, raising ParseError at the first bad cell."""
+    vals = np.empty(len(col_ids))
+    for c, cell in enumerate(row[1:]):
+        try:
+            v = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}: non-numeric value {cell.strip()!r} at row '{rid}', "
+                f"column '{col_ids[c]}'"
+            ) from None
+        if not np.isfinite(v):
+            raise ParseError(
+                f"{path}: non-finite value {cell.strip()!r} at row '{rid}', "
+                f"column '{col_ids[c]}'"
+            )
+        vals[c] = v
+    return vals
 
 
 def write_csv(path, values, row_ids, col_ids, corner: str = "id") -> None:

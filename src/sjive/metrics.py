@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .core import SJiveModel
 from .errors import DegeneracyError, ShapeError, SJiveError
@@ -36,6 +35,10 @@ def recovery_error(estimated, truth) -> float:
 
 def _f_sf(f_stat: float, d1: int, d2: int) -> float:
     """Upper tail of the F distribution via the regularized incomplete beta."""
+    # Imported here: scipy roughly doubles the import time of the package
+    # and of every CLI call, and only the F tests need it.
+    from scipy.special import betainc
+
     if f_stat <= 0.0:
         return 1.0
     x = d2 / (d2 + d1 * f_stat)

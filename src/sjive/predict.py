@@ -1,11 +1,11 @@
 """Out-of-sample score estimation and outcome prediction.
 
 Loadings from a fitted model are held fixed while joint and individual
-scores for new samples are found by alternating exact least-squares updates
-of the reconstruction objective sum_i ||X*_i - U_i S_J - W_i S_i||_F^2.
-The Gram matrices are pseudo-inverted, so the updates are exact minimizers
-of their subproblems for any loading gauge and the objective never
-increases across alternations.
+scores for new samples minimize the reconstruction objective
+sum_i ||X*_i - U_i S_J - W_i S_i||_F^2. That is one linear least-squares
+problem in all scores at once, solved through the pseudo-inverted Gram
+matrix of the loadings, so the result does not depend on the loading
+gauge.
 """
 
 from __future__ import annotations
@@ -22,7 +22,11 @@ from .linalg import RANK_TOL
 
 @dataclass
 class ScoreEstimate:
-    """Estimated scores for m new samples."""
+    """Estimated scores for m new samples.
+
+    ``iterations`` and ``converged`` stay for callers that record them; the
+    one-step solve always reports 1 and True.
+    """
 
     joint_scores: np.ndarray
     indiv_scores: list[np.ndarray]
@@ -43,63 +47,36 @@ def _check_blocks(model: SJiveModel, data):
     return data
 
 
-def estimate_scores(
-    model: SJiveModel,
-    new_data,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-) -> ScoreEstimate:
-    """Alternate closed-form score updates until the reconstruction
-    objective stalls. New blocks must already be standardized with the
-    training moments. Individual scores start at zero."""
+def estimate_scores(model: SJiveModel, new_data) -> ScoreEstimate:
+    """Least-squares joint and individual scores for new samples.
+
+    New blocks must already be standardized with the training moments. With
+    Z = [U | blockdiag(W_1..W_k)] the scores solve min ||X - Z S||_F in one
+    step, S = pinv(Z^T Z) Z^T X; Z^T Z and Z^T X are assembled block by block
+    without forming Z. When Z is rank-deficient the pseudo-inverse picks the
+    minimum-norm scores.
+    """
     data = _check_blocks(model, new_data)
     m = data.n
-    U = np.vstack(model.joint_loadings)
-    pinv_gram_joint = np.linalg.pinv(U.T @ U, rcond=RANK_TOL) if U.shape[1] else None
-    W = model.indiv_loadings
-    pinv_gram = [
-        np.linalg.pinv(w.T @ w, rcond=RANK_TOL) if w.shape[1] else None for w in W
-    ]
-    X = data.stacked()
-    blocks = data.blocks
     r_j = model.ranks.joint
-    s_joint = np.zeros((r_j, m))
-    s_ind = [np.zeros((w.shape[1], m)) for w in W]
-    offsets, a = [], 0
-    for w in W:
-        offsets.append((a, a + w.shape[0]))
-        a += w.shape[0]
-
-    def resid_objective():
-        total = 0.0
-        for i, (w, u) in enumerate(zip(W, model.joint_loadings)):
-            r = blocks[i] - u @ s_joint - w @ s_ind[i]
-            total += float(np.sum(r * r))
-        return total
-
-    prev = resid_objective()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if pinv_gram_joint is not None:
-            R = X.copy()
-            for (a, b), w, s in zip(offsets, W, s_ind):
-                R[a:b] -= w @ s
-            s_joint = pinv_gram_joint @ (U.T @ R)
-        for i, (w, u) in enumerate(zip(W, model.joint_loadings)):
-            if pinv_gram[i] is None:
-                continue
-            s_ind[i] = pinv_gram[i] @ (w.T @ (blocks[i] - u @ s_joint))
-        obj = resid_objective()
-        if prev - obj <= tol * max(prev, 1e-300):
-            converged = True
-            break
-        prev = obj
+    widths = [r_j] + [w.shape[1] for w in model.indiv_loadings]
+    edges = np.cumsum([0] + widths)
+    gram = np.zeros((edges[-1], edges[-1]))
+    rhs = np.zeros((edges[-1], m))
+    for i, (x, u, w) in enumerate(zip(data.blocks, model.joint_loadings, model.indiv_loadings)):
+        a, b = edges[i + 1], edges[i + 2]
+        gram[:r_j, :r_j] += u.T @ u
+        gram[:r_j, a:b] = u.T @ w
+        gram[a:b, :r_j] = gram[:r_j, a:b].T
+        gram[a:b, a:b] = w.T @ w
+        rhs[:r_j] += u.T @ x
+        rhs[a:b] = w.T @ x
+    scores = np.linalg.pinv(gram, rcond=RANK_TOL, hermitian=True) @ rhs
     return ScoreEstimate(
-        joint_scores=s_joint,
-        indiv_scores=s_ind,
-        iterations=iterations,
-        converged=converged,
+        joint_scores=scores[:r_j],
+        indiv_scores=[scores[edges[i + 1]:edges[i + 2]] for i in range(model.k)],
+        iterations=1,
+        converged=True,
     )
 
 

@@ -9,10 +9,14 @@ Ranks are chosen by forward selection: starting from all zeros, each round
 tries incrementing the joint rank and each block rank by one, keeps the
 single increment with the largest drop in mean CV MSE, and stops once no
 increment improves the best MSE by more than a small threshold.
+
+Each ``select_*`` call counts its fold fits that stopped at ``max_iter``
+without converging and reports the count in one RuntimeWarning.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +80,14 @@ def cv_fold_mses(
     plan: CvPlan,
     compress="auto",
     policy: str = "error",
+    reports: list | None = None,
 ) -> np.ndarray:
-    """Standardized-scale test MSE of each fold's held-out samples."""
+    """Standardized-scale test MSE of each fold's held-out samples.
+
+    ``policy`` is the zero-variance policy of each fold's standardization
+    (see ``standardize``). When ``reports`` is a list, every fold fit's
+    FitReport is appended to it.
+    """
     if plan.n != data.n:
         raise ConfigError(f"plan was built for n = {plan.n}, data has n = {data.n}")
     mses = np.empty(len(plan.folds))
@@ -95,7 +105,9 @@ def cv_fold_mses(
         train_std, y_std = standardize(train, y_train, policy=policy)
         test_std = standardize_with(test, train_std.standardization)
         y_test_std = standardize_outcome_with(y.values[test_idx], y_std.standardization)
-        model, _ = fit(train_std, y_std, cfg, compress=compress)
+        model, report = fit(train_std, y_std, cfg, compress=compress)
+        if reports is not None:
+            reports.append(report)
         scores = estimate_scores(model, test_std)
         yhat = predict(model, scores, standardized=True)
         mses[f] = test_mse(y_test_std, yhat)
@@ -107,6 +119,17 @@ def cv_mse(data, y, cfg: FitConfig, plan: CvPlan, compress="auto") -> float:
     return float(np.mean(cv_fold_mses(data, y, cfg, plan, compress=compress)))
 
 
+def _warn_unconverged(reports: list) -> None:
+    count = sum(not r.converged for r in reports)
+    if count:
+        warnings.warn(
+            f"{count} of {len(reports)} cross-validation fold fits stopped at "
+            "max_iter without converging; their held-out MSEs may be off",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def select_eta(
     data: MultiSourceDataset,
     y: Outcome,
@@ -116,10 +139,15 @@ def select_eta(
     compress="auto",
     max_iter: int = 1000,
     tol: float = 1e-6,
+    policy: str = "error",
+    reports: list | None = None,
 ):
     """Grid search for the weight with the lowest mean CV MSE.
 
-    Ties go to the first grid value attaining the minimum.
+    Ties go to the first grid value attaining the minimum. ``policy`` is
+    the zero-variance policy of the fold standardization. Fold-fit reports
+    are appended to ``reports`` when it is a list; otherwise fold fits that
+    stopped without converging are counted in one RuntimeWarning.
     """
     grid = tuple(float(g) for g in grid)
     if not grid:
@@ -129,14 +157,19 @@ def select_eta(
             raise ConfigError(f"eta grid value {g} outside (0, 1]")
     if plan is None:
         plan = make_cv_plan(data.n, seed=0)
+    fold_reports = [] if reports is None else reports
     trace = SelectionTrace()
     best_eta, best_mse = None, np.inf
     for g in grid:
         cfg = FitConfig(eta=g, ranks=ranks, max_iter=max_iter, tol=tol)
-        mean = trace.record(f"eta={g:g}", cv_fold_mses(data, y, cfg, plan, compress=compress))
+        mses = cv_fold_mses(data, y, cfg, plan, compress=compress, policy=policy,
+                            reports=fold_reports)
+        mean = trace.record(f"eta={g:g}", mses)
         if mean < best_mse:
             best_eta, best_mse = g, mean
     trace.chosen = f"eta={best_eta:g}"
+    if reports is None:
+        _warn_unconverged(fold_reports)
     return best_eta, trace
 
 
@@ -162,27 +195,35 @@ def select_ranks(
     max_iter: int = 1000,
     tol: float = 1e-6,
     improvement: float = IMPROVEMENT_THRESHOLD,
+    policy: str = "error",
+    reports: list | None = None,
 ):
     """Forward-selection rank search at a fixed weight.
 
     Ties between equally good increments prefer the joint rank, then the
-    lowest block index (the candidate order below).
+    lowest block index (the candidate order below). ``policy`` and
+    ``reports`` work as in ``select_eta``.
     """
     if plan is None:
         plan = make_cv_plan(data.n, seed=0)
     n_train_min = min(data.n - f.size for f in plan.folds)
     trace = SelectionTrace()
     ranks = Ranks(0, (0,) * data.k)
-    cfg = FitConfig(eta=eta, ranks=ranks, max_iter=max_iter, tol=tol)
-    best_mse = trace.record("(0" + ",0" * data.k + ")", cv_fold_mses(data, y, cfg, plan, compress=compress))
+    fold_reports = [] if reports is None else reports
+
+    def cv(cand):
+        cfg = FitConfig(eta=eta, ranks=cand, max_iter=max_iter, tol=tol)
+        return cv_fold_mses(data, y, cfg, plan, compress=compress, policy=policy,
+                            reports=fold_reports)
+
+    best_mse = trace.record("(0" + ",0" * data.k + ")", cv(ranks))
     rounds = 0
     while True:
         rounds += 1
         best_step = None
         for label, cand in _rank_candidates(ranks, data.p, n_train_min):
-            cfg = FitConfig(eta=eta, ranks=cand, max_iter=max_iter, tol=tol)
             name = f"round{rounds}:{label}->" + _fmt_ranks(cand)
-            mean = trace.record(name, cv_fold_mses(data, y, cfg, plan, compress=compress))
+            mean = trace.record(name, cv(cand))
             if best_step is None or mean < best_step[0]:
                 best_step = (mean, label, cand)
         if best_step is None:
@@ -197,6 +238,8 @@ def select_ranks(
         else:
             break
     trace.chosen = _fmt_ranks(ranks)
+    if reports is None:
+        _warn_unconverged(fold_reports)
     return ranks, trace
 
 
@@ -212,17 +255,23 @@ def select_model(
     rank_eta: float = 0.5,
     iterate: bool = False,
     compress="auto",
+    policy: str = "error",
 ):
     """Full selection pipeline: ranks at a fixed weight, then the weight at
-    the chosen ranks; optionally one more rank pass at the chosen weight."""
+    the chosen ranks; optionally one more rank pass at the chosen weight.
+    Unconverged fold fits of the whole pipeline share one RuntimeWarning."""
     if plan is None:
         plan = make_cv_plan(data.n, seed=0)
-    ranks, rank_trace = select_ranks(data, y, rank_eta, plan, compress=compress)
+    reports: list = []
+    common = dict(compress=compress, policy=policy, reports=reports)
+    ranks, rank_trace = select_ranks(data, y, rank_eta, plan, **common)
     if ranks.total == 0:
-        return rank_eta, ranks, rank_trace, SelectionTrace(chosen="skipped: all ranks zero")
-    eta, eta_trace = select_eta(data, y, ranks, eta_grid, plan, compress=compress)
-    if iterate and eta != rank_eta:
-        ranks, rank_trace = select_ranks(data, y, eta, plan, compress=compress)
-        if ranks.total > 0:
-            eta, eta_trace = select_eta(data, y, ranks, eta_grid, plan, compress=compress)
+        eta, eta_trace = rank_eta, SelectionTrace(chosen="skipped: all ranks zero")
+    else:
+        eta, eta_trace = select_eta(data, y, ranks, eta_grid, plan, **common)
+        if iterate and eta != rank_eta:
+            ranks, rank_trace = select_ranks(data, y, eta, plan, **common)
+            if ranks.total > 0:
+                eta, eta_trace = select_eta(data, y, ranks, eta_grid, plan, **common)
+    _warn_unconverged(reports)
     return eta, ranks, rank_trace, eta_trace

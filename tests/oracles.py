@@ -136,3 +136,58 @@ def eq1_objective_scalar(blocks, y, model):
     for b in range(len(y)):
         total += (1.0 - eta) * (y[b] - yhat[b]) ** 2
     return total
+
+
+def reference_score_alternation(model, blocks, tol=1e-8, max_iter=500):
+    """Out-of-sample scores by block coordinate descent on the reconstruction
+    objective sum_i ||X_i - U_i S_J - W_i S_i||_F^2: the joint scores and then
+    each block's individual scores are set to the exact minimizer of their
+    subproblem (pseudo-inverted Gram matrices), starting from zero, until the
+    objective stalls. Returns (S_J, [S_i], iterations, converged)."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    m = blocks[0].shape[1]
+    U_list, W = model.joint_loadings, model.indiv_loadings
+    U = np.vstack(U_list)
+    pinv_gram_joint = np.linalg.pinv(U.T @ U, rcond=1e-10) if U.shape[1] else None
+    pinv_gram = [np.linalg.pinv(w.T @ w, rcond=1e-10) if w.shape[1] else None for w in W]
+    X = np.vstack(blocks)
+    offsets, a = [], 0
+    for w in W:
+        offsets.append((a, a + w.shape[0]))
+        a += w.shape[0]
+    s_joint = np.zeros((U.shape[1], m))
+    s_ind = [np.zeros((w.shape[1], m)) for w in W]
+
+    def objective():
+        return sum(float(np.sum((x - u @ s_joint - w @ s) ** 2))
+                   for x, u, w, s in zip(blocks, U_list, W, s_ind))
+
+    prev = objective()
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        if pinv_gram_joint is not None:
+            R = X.copy()
+            for (a, b), w, s in zip(offsets, W, s_ind):
+                R[a:b] -= w @ s
+            s_joint = pinv_gram_joint @ (U.T @ R)
+        for i, (x, u, w) in enumerate(zip(blocks, U_list, W)):
+            if pinv_gram[i] is not None:
+                s_ind[i] = pinv_gram[i] @ (w.T @ (x - u @ s_joint))
+        obj = objective()
+        if prev - obj <= tol * max(prev, 1e-300):
+            converged = True
+            break
+        prev = obj
+    return s_joint, s_ind, iterations, converged
+
+
+def reference_load_csv(path):
+    """Whole-file CSV read converting every cell with ``float``.
+    Returns (variables x samples array, row ids, column ids)."""
+    import csv
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    values = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]])
+    return values, [row[0].strip() for row in rows[1:]], [c.strip() for c in rows[0][1:]]

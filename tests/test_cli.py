@@ -1,7 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sjive
 from sjive.cli import main
 from sjive.data import load_csv
 
@@ -226,3 +231,39 @@ def test_cli_drop_constant_and_ranks_parsing(tmp_path):
     assert rc == 0
     manifest = (outdir / "manifest.txt").read_text(encoding="utf-8")
     assert "dropped_variables = block1:v2" in manifest
+
+
+def test_fit_drop_constant_with_rank_selection(tmp_path):
+    # Rank selection must standardize its folds with the same policy as
+    # the final fit, or the constant row is rejected inside a fold.
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        SIM_CFG.replace("p = 15, 12", "p = 30, 30").replace("n = 24", "n = 40"),
+        encoding="utf-8",
+    )
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data), "--seed", "2"]) == 0
+    rows = _read_rows(data / "X1.csv")
+    rows[1][1:] = ["0.25"] * (len(rows[1]) - 1)
+    with open(data / "X1.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    outdir = tmp_path / "fit"
+    rc = main([
+        "fit", "--x", str(data / "X1.csv"), "--x", str(data / "X2.csv"),
+        "--y", str(data / "y.csv"), "--drop-constant", "--out", str(outdir),
+    ])
+    assert rc == 0
+    manifest = (outdir / "manifest.txt").read_text(encoding="utf-8")
+    assert f"dropped_variables = block1:{rows[1][0]}" in manifest
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is needed only for the F-test p-values; the CLI must not pay
+    # its import on every call.
+    src = str(Path(sjive.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys, sjive.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -15,6 +15,8 @@ from sjive.data import (
     standardize_with,
     write_csv,
 )
+from oracles import reference_load_csv
+from sjive import data as data_module
 from sjive.errors import DegeneracyError, ParseError, ShapeError
 
 
@@ -83,6 +85,84 @@ def test_write_read_roundtrip(tmp_path):
     write_csv(path, vals, [f"v{i}" for i in range(3)], [f"s{j}" for j in range(5)])
     m = load_csv(path)
     assert np.array_equal(m.values, vals)
+
+
+# Quoted ids (one holding a comma), padded cells, exponents, signed zeros,
+# digit separators and non-ASCII digits, and a blank line between rows.
+_AWKWARD = (
+    'id,"s,1", s2 ,s3,s4\n'
+    '"v,1", 1 ,1e3,-0,+2\n'
+    '\n'
+    'v2,\t-1.5e-3 ,1_000,\u0661\u0662,\uff13\n'
+    '" v3 ",0.1,.5,5.,-0.0\n'
+)
+
+
+@pytest.mark.parametrize("samples_in_rows", [False, True])
+def test_load_csv_matches_per_cell_reference(tmp_path, samples_in_rows):
+    path = _write(tmp_path, "x.csv", _AWKWARD)
+    values, row_ids, col_ids = reference_load_csv(path)
+    assert values[1].tolist() == [-1.5e-3, 1000.0, 12.0, 3.0]
+    m = load_csv(path, samples_in_rows=samples_in_rows)
+    if samples_in_rows:
+        values, row_ids, col_ids = values.T, col_ids, row_ids
+    assert m.values.tobytes() == values.tobytes()  # bitwise, so -0.0 stays negative
+    assert m.row_ids == row_ids and m.col_ids == col_ids
+
+
+def test_load_csv_random_values_bitwise(tmp_path):
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=(40, 30)) * 10.0 ** rng.integers(-300, 300, size=(40, 1))
+    path = tmp_path / "m.csv"
+    write_csv(path, vals, [f"v{i}" for i in range(40)], [f"s{j}" for j in range(30)])
+    assert load_csv(path).values.tobytes() == reference_load_csv(path)[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("v1,1,2\nv2,3, NA \n", "non-numeric value 'NA' at row 'v2', column 's2'"),
+        ("v1,1,2\nv2,,4\n", "non-numeric value '' at row 'v2', column 's1'"),
+        ("v1,nan,x\n", "non-finite value 'nan' at row 'v1', column 's1'"),
+        ("v1,1, -Infinity\n", "non-finite value '-Infinity' at row 'v1', column 's2'"),
+        ("v1,1,1e999\n", "non-finite value '1e999' at row 'v1', column 's2'"),
+        ("v1,1,2\n v2 ,1\n", "row 3 ('v2') has 1 values, expected 2"),
+        ("v1,1,2,3\n", "row 2 ('v1') has 3 values, expected 2"),
+    ],
+)
+def test_load_csv_error_messages(tmp_path, body, message):
+    path = _write(tmp_path, "x.csv", "id,s1,s2\n" + body)
+    with pytest.raises(ParseError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_load_csv_header_errors(tmp_path):
+    for text in ("", "id,s1\n", "\n\nid,s1\n\n"):
+        path = _write(tmp_path, "x.csv", text)
+        with pytest.raises(ParseError, match="expected a header row and at least one data row"):
+            load_csv(path)
+    path = _write(tmp_path, "x.csv", "id\nv1\n")
+    with pytest.raises(ParseError, match="header must contain at least one sample id"):
+        load_csv(path)
+
+
+def test_load_csv_falls_back_to_cell_scan(tmp_path, monkeypatch):
+    # Should the one-call conversion reject a row that float() accepts, the
+    # row's values come from the cell-by-cell scan, never from a stale row.
+    class RejectingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def array(obj, *args, **kwargs):
+            if isinstance(obj, list) and "6" in obj:
+                raise ValueError("rejected")
+            return np.array(obj, *args, **kwargs)
+
+    path = _write(tmp_path, "x.csv", "id,s1,s2\nv1,1,2\nv2,6,7\nv3,8,9\n")
+    monkeypatch.setattr(data_module, "np", RejectingNumpy())
+    assert load_csv(path).values.tolist() == [[1.0, 2.0], [6.0, 7.0], [8.0, 9.0]]
 
 
 def test_dataset_validation():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sjive.core import FitConfig, Ranks, fit
+from oracles import reference_score_alternation
+from sjive.core import FitConfig, Ranks, SJiveModel, fit
 from sjive.data import OutcomeScaler
 from sjive.errors import ShapeError, SJiveError
 from sjive.predict import estimate_scores, predict
@@ -144,3 +145,65 @@ def test_score_objective_nonincreasing():
 
     est = estimate_scores(model, new)
     assert est.converged
+
+
+def _random_model(rng, p, r_joint, r_indiv):
+    """A model with Gaussian loadings and outcome coefficients (no fit).
+    Individual loadings lean towards the first joint column, so the joint
+    and individual score updates interact."""
+    joint = [rng.normal(size=(pi, r_joint)) for pi in p]
+    lean = [0.8 * u[:, :1] if r_joint else 0.0 for u in joint]
+    return SJiveModel(
+        joint_loadings=joint,
+        joint_scores=np.zeros((r_joint, 1)),
+        indiv_loadings=[rng.normal(size=(pi, ri)) + a for pi, ri, a in zip(p, r_indiv, lean)],
+        indiv_scores=[np.zeros((ri, 1)) for ri in r_indiv],
+        theta_joint=rng.normal(size=r_joint),
+        theta_indiv=[rng.normal(size=ri) for ri in r_indiv],
+        eta=0.5,
+        ranks=Ranks(r_joint, tuple(r_indiv)),
+    )
+
+
+def _agrees_with_alternation(model, new):
+    est = estimate_scores(model, new)
+    assert est.iterations == 1 and est.converged
+    s_joint, s_ind, _, converged = reference_score_alternation(model, new, tol=0.0, max_iter=20000)
+    assert converged
+    ref = model.theta_joint @ s_joint + sum(t @ s for t, s in zip(model.theta_indiv, s_ind))
+    got = predict(model, est, standardized=True)
+    assert np.abs(got - ref).max() < 1e-8
+    return est
+
+
+@pytest.mark.parametrize(
+    "p, r_joint, r_indiv",
+    [
+        ((30,), 2, (1,)),
+        ((30, 25), 1, (1, 2)),
+        ((20, 30, 25), 2, (1, 0, 2)),  # one block without individual structure
+        ((20, 15, 25), 0, (1, 2, 1)),  # no joint structure
+        ((20, 15), 0, (0, 0)),  # nothing to estimate
+    ],
+)
+def test_single_solve_matches_alternation(p, r_joint, r_indiv):
+    rng = np.random.default_rng(sum(p) + r_joint)
+    model = _random_model(rng, p, r_joint, r_indiv)
+    new = [rng.normal(size=(pi, 7)) for pi in p]
+    est = _agrees_with_alternation(model, new)
+    assert est.joint_scores.shape == (r_joint, 7)
+    assert [s.shape for s in est.indiv_scores] == [(ri, 7) for ri in r_indiv]
+
+
+def test_single_solve_matches_alternation_rank_deficient_loadings():
+    # A zero individual loading column (a degenerate component) and two
+    # identical joint columns: Z^T Z is singular and both methods settle on
+    # the minimum-norm scores within each group.
+    rng = np.random.default_rng(5)
+    model = _random_model(rng, (30, 25), 2, (2, 1))
+    model.joint_loadings = [np.hstack([u[:, :1], u[:, :1]]) for u in model.joint_loadings]
+    model.indiv_loadings[0][:, 1] = 0.0
+    new = [rng.normal(size=(pi, 6)) for pi in model.p]
+    est = _agrees_with_alternation(model, new)
+    assert np.allclose(est.joint_scores[0], est.joint_scores[1], atol=1e-10)
+    assert np.all(est.indiv_scores[0][1] == 0.0)

@@ -1,14 +1,20 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sjive import selection
 from sjive.core import FitConfig, Ranks
+from sjive.core import fit as core_fit
 from sjive.data import MultiSourceDataset, Outcome
-from sjive.errors import ConfigError, RankError
+from sjive.errors import ConfigError, DegeneracyError, RankError
 from sjive.selection import (
     cv_fold_mses,
     cv_mse,
     make_cv_plan,
     select_eta,
+    select_model,
     select_ranks,
 )
 from sjive.simulate import SimConfig, generate
@@ -152,3 +158,65 @@ def test_select_ranks_respects_bounds():
     plan = make_cv_plan(25, seed=9)
     ranks, _ = select_ranks(data, y, eta=0.5, plan=plan)
     assert ranks.joint <= 2 and ranks.individual[0] <= 2
+
+
+def _constant_in_one_training_fold(plan, fold):
+    """Block 1's first variable is 0 everywhere except on one fold's
+    held-out samples, so it is constant in that fold's training set only."""
+    cfg = SimConfig(k=2, p=(20, 20), n=40, rank_joint=1, rank_indiv=(1, 1),
+                    x_err=0.3, y_err=0.2, seed=83)
+    data, y, _ = generate(cfg)
+    blocks = [b.copy() for b in data.blocks]
+    blocks[0][0] = 0.0
+    blocks[0][0, plan.folds[fold]] = np.random.default_rng(0).normal(size=plan.folds[fold].size)
+    return MultiSourceDataset.from_arrays(blocks), y
+
+
+def test_selection_passes_drop_policy_to_folds():
+    plan = make_cv_plan(40, seed=11)
+    data, y = _constant_in_one_training_fold(plan, fold=2)
+    cfg = FitConfig(eta=0.5, ranks=Ranks(1, (1, 1)))
+    with pytest.raises(DegeneracyError, match="block 1"):
+        cv_fold_mses(data, y, cfg, plan)
+    assert np.isfinite(cv_fold_mses(data, y, cfg, plan, policy="drop")).all()
+    ranks, trace = select_ranks(data, y, 0.5, plan, policy="drop")
+    assert ranks.total >= 1
+    eta, trace = select_eta(data, y, ranks, grid=(0.3, 0.7), plan=plan, policy="drop")
+    assert len(trace.candidates) == 2
+    eta, ranks, _, _ = select_model(data, y, plan, eta_grid=(0.3, 0.7), policy="drop")
+    assert ranks.total >= 1
+
+
+def test_unconverged_fold_fits_warn_once(small_noisy):
+    data, y = small_noisy
+    plan = make_cv_plan(data.n, seed=12)
+    with pytest.warns(RuntimeWarning) as record:
+        select_eta(data, y, Ranks(1, (1, 1)), grid=(0.3, 0.7), plan=plan, max_iter=1)
+    assert len(record) == 1
+    assert str(record[0].message).startswith("10 of 10 cross-validation fold fits stopped")
+    reports = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = select_ranks(data, y, 0.5, plan, max_iter=1, reports=reports)
+    assert len(reports) == 5 * len(trace.candidates)
+    assert not all(r.converged for r in reports)
+
+
+def test_select_model_counts_unconverged_across_passes(monkeypatch):
+    # Every fold fit reports non-convergence; the pipeline warns once with
+    # the count over its rank and weight passes.
+    cfg = SimConfig(k=2, p=(8, 8), n=25, rank_joint=1, rank_indiv=(0, 0), seed=84)
+    data, y, _ = generate(cfg)
+    fits = []
+
+    def unconverged_fit(*args, **kwargs):
+        model, report = core_fit(*args, **kwargs)
+        fits.append(report)
+        return model, replace(report, converged=False)
+
+    monkeypatch.setattr(selection, "fit", unconverged_fit)
+    with pytest.warns(RuntimeWarning) as record:
+        _, ranks, _, _ = select_model(data, y, make_cv_plan(data.n, seed=13), eta_grid=(0.3, 0.7))
+    assert ranks.total > 0  # so the weight pass ran as well
+    assert len(record) == 1
+    assert str(record[0].message).startswith(f"{len(fits)} of {len(fits)} ")
