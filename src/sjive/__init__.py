@@ -45,16 +45,8 @@ from .errors import (
     ShapeError,
     SJiveError,
 )
-from .linalg import (
-    SvdFactors,
-    frobenius_sq,
-    proj_complement_rows,
-    qr_orthonormalize,
-    svd_truncated,
-)
 from .metrics import (
     ComponentInference,
-    EvalReport,
     component_inference,
     meta_loadings,
     recovery_error,
@@ -84,7 +76,6 @@ __all__ = [
     "CvPlan",
     "DEFAULT_ETA_GRID",
     "DegeneracyError",
-    "EvalReport",
     "FitConfig",
     "FitReport",
     "InputError",
@@ -100,7 +91,6 @@ __all__ = [
     "ShapeError",
     "SimConfig",
     "SimTruth",
-    "SvdFactors",
     "baseline_predict",
     "component_inference",
     "compress",
@@ -113,7 +103,6 @@ __all__ = [
     "fit_jive",
     "fit_jive_predict",
     "fit_pca_regression",
-    "frobenius_sq",
     "generate",
     "initialize",
     "load_csv",
@@ -123,8 +112,6 @@ __all__ = [
     "meta_loadings",
     "objective",
     "predict",
-    "proj_complement_rows",
-    "qr_orthonormalize",
     "recovery_error",
     "rescale_identifiable",
     "save_model",
@@ -134,7 +121,6 @@ __all__ = [
     "select_ranks",
     "standardize",
     "standardize_with",
-    "svd_truncated",
     "test_mse",
     "train_test_split",
     "win_rate",

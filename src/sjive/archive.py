@@ -1,13 +1,18 @@
-"""Model and truth serialization: a zip of CSV matrices plus a JSON manifest.
+"""Model and truth serialization: an npz archive of arrays plus a JSON manifest.
 
-Floats are written with repr (shortest round-trip form), so a saved model
-reproduces its predictions bit-identically after loading.
+``np.savez`` stores every array as an ``.npy`` member of a zip file with its
+exact float64 bits, so a saved model reproduces its predictions
+bit-identically after loading. The member ``manifest`` is a 0-d string
+array holding JSON: format version, kind, block count and the scalar or
+text metadata (weight, ranks, ids, dropped variables, outcome moments, fit
+report counters). Archives are read with ``allow_pickle=False``.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -16,212 +21,137 @@ from .data import BlockScaler, OutcomeScaler
 from .errors import ParseError
 from .simulate import SimTruth
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+_TRUTH_PER_BLOCK = ("joint_loadings", "indiv_loadings", "indiv_scores", "theta_indiv",
+                    "noise_blocks", "joint_structure", "indiv_structure")
+_TRUTH_SINGLE = ("joint_scores", "theta_joint", "noise_outcome", "outcome_joint", "outcome_indiv")
 
 
-def _matrix_to_csv(arr: np.ndarray) -> str:
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    lines = [",".join(repr(float(v)) for v in row) for row in arr]
-    return "\n".join(lines) + ("\n" if lines else "")
+def _save(path, kind: str, arrays: dict, manifest: dict) -> None:
+    manifest = {"format_version": FORMAT_VERSION, "kind": kind, **manifest}
+    # Through an open file the archive keeps exactly the given name (a str
+    # path would get ".npz" appended).
+    with open(path, "wb") as fh:
+        np.savez(fh, manifest=np.array(json.dumps(manifest)), **arrays)
 
 
-def _matrix_from_csv(text: str, shape) -> np.ndarray:
-    rows, cols = shape
-    if rows == 0 or cols == 0:
-        return np.zeros((rows, cols))
-    data = []
-    for line in text.strip().splitlines():
-        data.append([float(v) for v in line.split(",")])
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (rows, cols):
-        raise ParseError(f"archive matrix has shape {arr.shape}, manifest says {shape}")
-    return arr
-
-
-class _Writer:
-    def __init__(self, zf: zipfile.ZipFile):
-        self.zf = zf
-        self.entries: dict[str, dict] = {}
-
-    def add(self, name: str, arr) -> None:
-        arr2 = np.atleast_2d(np.asarray(arr, dtype=float))
-        path = f"matrices/{name}.csv"
-        self.zf.writestr(path, _matrix_to_csv(arr2))
-        self.entries[name] = {"file": path, "shape": list(arr2.shape)}
-
-
-def _read_matrices(zf: zipfile.ZipFile, entries: dict) -> dict[str, np.ndarray]:
-    out = {}
-    for name, meta in entries.items():
-        text = zf.read(meta["file"]).decode("utf-8")
-        out[name] = _matrix_from_csv(text, tuple(meta["shape"]))
-    return out
-
-
-def _scalers_to_json(model: SJiveModel):
-    blocks = None
-    if model.block_scalers is not None:
-        blocks = [
-            {
-                "means": [repr(float(v)) for v in sc.means],
-                "sds": [repr(float(v)) for v in sc.sds],
-                "dropped_ids": list(sc.dropped_ids),
-                "dropped_idx": list(sc.dropped_idx),
-            }
-            for sc in model.block_scalers
-        ]
-    outcome = None
-    if model.outcome_scaler is not None:
-        outcome = {
-            "mean": repr(float(model.outcome_scaler.mean)),
-            "sd": repr(float(model.outcome_scaler.sd)),
-        }
-    return {"blocks": blocks, "outcome": outcome}
-
-
-def _scalers_from_json(obj):
-    blocks = None
-    if obj.get("blocks") is not None:
-        blocks = [
-            BlockScaler(
-                means=np.array([float(v) for v in sc["means"]]),
-                sds=np.array([float(v) for v in sc["sds"]]),
-                dropped_ids=list(sc["dropped_ids"]),
-                dropped_idx=[int(v) for v in sc["dropped_idx"]],
+def _load(path, kind: str):
+    """(manifest, arrays) of an archive of the given kind."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ParseError(f"{path} is not a {kind} archive") from None
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ParseError(f"{path} is not a {kind} archive")
+    with npz:
+        if "manifest.json" in npz.files:
+            raise ParseError(
+                f"{path} is a format version 1 (CSV) archive, which is no longer read; "
+                f"refit the model (or rerun simulate) to write format version {FORMAT_VERSION}"
             )
-            for sc in obj["blocks"]
-        ]
-    outcome = None
-    if obj.get("outcome") is not None:
-        outcome = OutcomeScaler(
-            mean=float(obj["outcome"]["mean"]), sd=float(obj["outcome"]["sd"])
-        )
-    return blocks, outcome
+        if "manifest" not in npz.files:
+            raise ParseError(f"{path} is not a {kind} archive")
+        manifest = json.loads(str(npz["manifest"]))
+        if manifest.get("kind") != kind:
+            raise ParseError(f"{path} is not a {kind} archive")
+        if manifest.get("format_version") != FORMAT_VERSION:
+            raise ParseError(
+                f"{path} has format version {manifest.get('format_version')}; "
+                f"this version reads format version {FORMAT_VERSION}"
+            )
+        arrays = {name: npz[name] for name in npz.files if name != "manifest"}
+    return manifest, arrays
+
+
+def _per_block(arrays: dict, name: str, k: int) -> list[np.ndarray]:
+    return [arrays[f"{name}_{i + 1}"] for i in range(k)]
 
 
 def save_model(model: SJiveModel, path, report: FitReport | None = None) -> None:
     """Write a fitted model (and optionally its fit report) to ``path``."""
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        w = _Writer(zf)
-        for i in range(model.k):
-            w.add(f"joint_loadings_{i + 1}", model.joint_loadings[i])
-            w.add(f"indiv_loadings_{i + 1}", model.indiv_loadings[i])
-            w.add(f"indiv_scores_{i + 1}", model.indiv_scores[i])
-        w.add("joint_scores", model.joint_scores)
-        if model.theta_joint is not None:
-            w.add("theta_joint", model.theta_joint[None, :])
-            for i, th in enumerate(model.theta_indiv):
-                w.add(f"theta_indiv_{i + 1}", th[None, :])
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "kind": "model",
-            "k": model.k,
-            "p": list(model.p),
-            "n": model.n,
-            "eta": repr(float(model.eta)),
-            "ranks": {"joint": model.ranks.joint, "individual": list(model.ranks.individual)},
-            "has_theta": model.theta_joint is not None,
-            "degenerate": list(model.degenerate),
-            "standardization": _scalers_to_json(model),
-            "variable_ids": model.variable_ids,
-            "matrices": w.entries,
+    per_block = {
+        "joint_loadings": model.joint_loadings,
+        "indiv_loadings": model.indiv_loadings,
+        "indiv_scores": model.indiv_scores,
+    }
+    arrays = {"joint_scores": model.joint_scores}
+    if model.theta_joint is not None:
+        arrays["theta_joint"] = model.theta_joint
+        per_block["theta_indiv"] = model.theta_indiv
+    dropped = None
+    if model.block_scalers is not None:
+        per_block["block_means"] = [sc.means for sc in model.block_scalers]
+        per_block["block_sds"] = [sc.sds for sc in model.block_scalers]
+        dropped = [{"ids": list(sc.dropped_ids), "idx": list(sc.dropped_idx)}
+                   for sc in model.block_scalers]
+    for name, items in per_block.items():
+        arrays.update({f"{name}_{i + 1}": a for i, a in enumerate(items)})
+    outcome = None if model.outcome_scaler is None else asdict(model.outcome_scaler)
+    manifest = {
+        "k": model.k,
+        "eta": float(model.eta),
+        "ranks": {"joint": model.ranks.joint, "individual": list(model.ranks.individual)},
+        "degenerate": list(model.degenerate),
+        "variable_ids": model.variable_ids,
+        "dropped": dropped,
+        "outcome_scaler": outcome,
+    }
+    if report is not None:
+        arrays["objective_trace"] = np.asarray(report.objective_trace, dtype=float)
+        manifest["report"] = {
+            "iterations": int(report.iterations),
+            "converged": bool(report.converged),
+            "final_objective": float(report.final_objective),
         }
-        if report is not None:
-            manifest["report"] = {
-                "iterations": report.iterations,
-                "converged": report.converged,
-                "final_objective": repr(float(report.final_objective)),
-                "objective_trace": [repr(float(v)) for v in report.objective_trace],
-            }
-        zf.writestr("manifest.json", json.dumps(manifest, indent=1))
+    _save(path, "model", arrays, manifest)
 
 
 def load_model(path):
     """Read back a model archive; returns (model, report or None)."""
-    with zipfile.ZipFile(path) as zf:
-        manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
-        if manifest.get("kind") != "model":
-            raise ParseError(f"{path} is not a model archive")
-        mats = _read_matrices(zf, manifest["matrices"])
+    manifest, arrays = _load(path, "model")
     k = manifest["k"]
-    ranks = Ranks(
-        manifest["ranks"]["joint"], tuple(manifest["ranks"]["individual"])
-    )
-    blocks_sc, outcome_sc = _scalers_from_json(manifest["standardization"])
-    has_theta = manifest["has_theta"]
+    block_scalers = None
+    if manifest["dropped"] is not None:
+        block_scalers = [
+            BlockScaler(means=m, sds=s, dropped_ids=d["ids"], dropped_idx=d["idx"])
+            for m, s, d in zip(_per_block(arrays, "block_means", k),
+                               _per_block(arrays, "block_sds", k), manifest["dropped"])
+        ]
+    outcome = manifest["outcome_scaler"]
+    has_theta = "theta_joint" in arrays
     model = SJiveModel(
-        joint_loadings=[mats[f"joint_loadings_{i + 1}"] for i in range(k)],
-        joint_scores=mats["joint_scores"],
-        indiv_loadings=[mats[f"indiv_loadings_{i + 1}"] for i in range(k)],
-        indiv_scores=[mats[f"indiv_scores_{i + 1}"] for i in range(k)],
-        theta_joint=mats["theta_joint"].ravel() if has_theta else None,
-        theta_indiv=[mats[f"theta_indiv_{i + 1}"].ravel() for i in range(k)]
-        if has_theta
-        else None,
-        eta=float(manifest["eta"]),
-        ranks=ranks,
-        block_scalers=blocks_sc,
-        outcome_scaler=outcome_sc,
-        variable_ids=manifest.get("variable_ids"),
-        degenerate=tuple(manifest.get("degenerate", ())),
+        joint_loadings=_per_block(arrays, "joint_loadings", k),
+        joint_scores=arrays["joint_scores"],
+        indiv_loadings=_per_block(arrays, "indiv_loadings", k),
+        indiv_scores=_per_block(arrays, "indiv_scores", k),
+        theta_joint=arrays["theta_joint"] if has_theta else None,
+        theta_indiv=_per_block(arrays, "theta_indiv", k) if has_theta else None,
+        eta=manifest["eta"],
+        ranks=Ranks(manifest["ranks"]["joint"], tuple(manifest["ranks"]["individual"])),
+        block_scalers=block_scalers,
+        outcome_scaler=None if outcome is None else OutcomeScaler(**outcome),
+        variable_ids=manifest["variable_ids"],
+        degenerate=tuple(manifest["degenerate"]),
     )
     report = None
     if "report" in manifest:
-        rep = manifest["report"]
-        report = FitReport(
-            objective_trace=[float(v) for v in rep["objective_trace"]],
-            iterations=rep["iterations"],
-            converged=rep["converged"],
-            final_objective=float(rep["final_objective"]),
-        )
+        report = FitReport(objective_trace=arrays["objective_trace"].tolist(), **manifest["report"])
     return model, report
 
 
 def save_truth(truth: SimTruth, path) -> None:
-    """Write generator ground truth to a zip archive."""
-    k = len(truth.joint_loadings)
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        w = _Writer(zf)
-        for i in range(k):
-            w.add(f"joint_loadings_{i + 1}", truth.joint_loadings[i])
-            w.add(f"indiv_loadings_{i + 1}", truth.indiv_loadings[i])
-            w.add(f"indiv_scores_{i + 1}", truth.indiv_scores[i])
-            w.add(f"theta_indiv_{i + 1}", truth.theta_indiv[i][None, :])
-            w.add(f"noise_block_{i + 1}", truth.noise_blocks[i])
-            w.add(f"joint_structure_{i + 1}", truth.joint_structure[i])
-            w.add(f"indiv_structure_{i + 1}", truth.indiv_structure[i])
-        w.add("joint_scores", truth.joint_scores)
-        w.add("theta_joint", truth.theta_joint[None, :])
-        w.add("noise_outcome", truth.noise_outcome[None, :])
-        w.add("outcome_joint", truth.outcome_joint[None, :])
-        w.add("outcome_indiv", truth.outcome_indiv[None, :])
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "kind": "truth",
-            "k": k,
-            "matrices": w.entries,
-        }
-        zf.writestr("manifest.json", json.dumps(manifest, indent=1))
+    """Write generator ground truth to an archive."""
+    arrays = {name: getattr(truth, name) for name in _TRUTH_SINGLE}
+    for name in _TRUTH_PER_BLOCK:
+        arrays.update({f"{name}_{i + 1}": a for i, a in enumerate(getattr(truth, name))})
+    _save(path, "truth", arrays, {"k": len(truth.joint_loadings)})
 
 
 def load_truth(path) -> SimTruth:
-    with zipfile.ZipFile(path) as zf:
-        manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
-        if manifest.get("kind") != "truth":
-            raise ParseError(f"{path} is not a truth archive")
-        mats = _read_matrices(zf, manifest["matrices"])
+    manifest, arrays = _load(path, "truth")
     k = manifest["k"]
     return SimTruth(
-        joint_loadings=[mats[f"joint_loadings_{i + 1}"] for i in range(k)],
-        joint_scores=mats["joint_scores"],
-        indiv_loadings=[mats[f"indiv_loadings_{i + 1}"] for i in range(k)],
-        indiv_scores=[mats[f"indiv_scores_{i + 1}"] for i in range(k)],
-        theta_joint=mats["theta_joint"].ravel(),
-        theta_indiv=[mats[f"theta_indiv_{i + 1}"].ravel() for i in range(k)],
-        noise_blocks=[mats[f"noise_block_{i + 1}"] for i in range(k)],
-        noise_outcome=mats["noise_outcome"].ravel(),
-        joint_structure=[mats[f"joint_structure_{i + 1}"] for i in range(k)],
-        indiv_structure=[mats[f"indiv_structure_{i + 1}"] for i in range(k)],
-        outcome_joint=mats["outcome_joint"].ravel(),
-        outcome_indiv=mats["outcome_indiv"].ravel(),
+        **{name: arrays[name] for name in _TRUTH_SINGLE},
+        **{name: _per_block(arrays, name, k) for name in _TRUTH_PER_BLOCK},
     )

@@ -7,15 +7,14 @@ fit, so test MSEs are directly comparable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FitConfig, Ranks, SJiveModel, _as_dataset, fit
 from .data import destandardize_outcome
-from .errors import ConfigError, RankError, ShapeError
-from .linalg import RANK_TOL, _signed_svd
+from .errors import ConfigError, ShapeError
+from .linalg import regress_on_rows, top_svd
 from .predict import estimate_scores, predict
 
 
@@ -38,16 +37,11 @@ class BaselineModel:
     model: SJiveModel | None = None
     outcome_scaler: object = None
 
-    @property
-    def ranks(self):
-        return self.model.ranks if self.model is not None else self.rank
-
 
 def _unsupervised_cfg(ranks: Ranks, cfg: FitConfig | None) -> FitConfig:
     if cfg is None:
         return FitConfig(eta=1.0, ranks=ranks)
-    return FitConfig(eta=1.0, ranks=ranks, max_iter=cfg.max_iter, tol=cfg.tol,
-                     seed=cfg.seed)
+    return FitConfig(eta=1.0, ranks=ranks, max_iter=cfg.max_iter, tol=cfg.tol)
 
 
 def fit_jive(data, ranks: Ranks, cfg: FitConfig | None = None):
@@ -75,7 +69,8 @@ def fit_pca_regression(data, y, r: int, mode: str, block: int | None = None) -> 
     mode "concatenated" decomposes the stacked blocks; mode "per_block"
     decomposes the single block selected by ``block`` (0-based). The outcome
     is regressed on the r score rows without intercept, and new samples are
-    scored by projecting onto the loadings.
+    scored by projecting onto the loadings. Raises RankError when r is
+    outside 0..min(rows, cols) of the decomposed matrix.
     """
     data = _as_dataset(data)
     yv = np.asarray(y.values if hasattr(y, "values") else y, dtype=float).reshape(-1)
@@ -92,30 +87,9 @@ def fit_pca_regression(data, y, r: int, mode: str, block: int | None = None) -> 
         which = block
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    cap = min(mat.shape)
-    if not 0 <= r <= cap:
-        raise RankError(f"rank {r} outside 0..{cap} for matrix shape {mat.shape}")
-    if r == 0:
-        loadings = np.zeros((mat.shape[0], 0))
-        scores = np.zeros((0, data.n))
-        coefs = np.zeros(0)
-    else:
-        u, s, vt = _signed_svd(mat)
-        loadings = u[:, :r]
-        scores = s[:r, None] * vt[:r]
-        G = scores @ scores.T
-        g = scores @ yv
-        try:
-            coefs = np.linalg.solve(G, g)
-            if not np.isfinite(coefs).all():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            warnings.warn(
-                "score Gram matrix is singular; using a pseudoinverse",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            coefs = np.linalg.pinv(G, rcond=RANK_TOL) @ g
+    loadings, s, vt = top_svd(mat, r)
+    scores = s[:, None] * vt
+    coefs = regress_on_rows(scores, yv)
     return BaselineModel(
         kind="concat_pca" if mode == "concatenated" else "individual_pca",
         rank=r,

@@ -171,7 +171,7 @@ def _cmd_fit(args) -> int:
     else:
         ranks = _parse_ranks(args.ranks, data.k)
         eta = float(args.eta)
-    cfg = FitConfig(eta=eta, ranks=ranks, max_iter=args.max_iter, tol=args.tol, seed=args.seed)
+    cfg = FitConfig(eta=eta, ranks=ranks, max_iter=args.max_iter, tol=args.tol)
     model, report = fit(data, y, cfg, compress=compress)
     save_model(model, outdir / "model.zip", report)
     _write_rows(
@@ -256,7 +256,8 @@ def _cmd_select(args) -> int:
     )
     compress = False if args.no_compress else "auto"
     eta, ranks, rank_trace, eta_trace = select_model(
-        raw, y_raw, plan, eta_grid=grid, iterate=args.iterate, compress=compress
+        raw, y_raw, plan, eta_grid=grid, iterate=args.iterate, compress=compress,
+        policy="drop" if args.drop_constant else "error",
     )
     header, rows = _fold_trace_rows(rank_trace)
     _write_rows(outdir / "rank_trace.csv", header, rows)
@@ -386,29 +387,21 @@ def _cmd_evaluate(args) -> int:
                 [[vid, repr(float(v))] for vid, v in zip(ids, m)],
             )
     train_ids = [f"s{j + 1}" for j in range(model.n)]
-    for i, (joint, indiv) in enumerate(
-        zip(
-            [u @ model.joint_scores for u in model.joint_loadings],
-            [w @ s for w, s in zip(model.indiv_loadings, model.indiv_scores)],
-        )
-    ):
+    joint, indiv = model.joint_structure(), model.individual_structure()
+    for i in range(model.k):
         ids = (
             model.variable_ids[i]
             if model.variable_ids
-            else [f"v{j + 1}" for j in range(joint.shape[0])]
+            else [f"v{j + 1}" for j in range(joint[i].shape[0])]
         )
-        write_csv(outdir / f"heatmap_joint_block{i + 1}.csv", joint, ids, train_ids)
-        write_csv(outdir / f"heatmap_indiv_block{i + 1}.csv", indiv, ids, train_ids)
+        write_csv(outdir / f"heatmap_joint_block{i + 1}.csv", joint[i], ids, train_ids)
+        write_csv(outdir / f"heatmap_indiv_block{i + 1}.csv", indiv[i], ids, train_ids)
     if args.truth:
         truth = load_truth(args.truth)
-        est_joint = np.vstack([u @ model.joint_scores for u in model.joint_loadings])
-        rows = [
-            ["joint", repr(recovery_error(est_joint, truth.stacked_joint()))]
-        ]
+        rows = [["joint", repr(recovery_error(np.vstack(joint), truth.stacked_joint()))]]
         for i in range(model.k):
-            est_a = model.indiv_loadings[i] @ model.indiv_scores[i]
             rows.append(
-                [f"block{i + 1}", repr(recovery_error(est_a, truth.indiv_structure[i]))]
+                [f"block{i + 1}", repr(recovery_error(indiv[i], truth.indiv_structure[i]))]
             )
         _write_rows(outdir / "recovery.csv", ["component", "recovery_error"], rows)
     _write_manifest(
@@ -472,6 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--eta-grid", default=None, help="comma-separated grid values")
     p_sel.add_argument("--iterate", action="store_true",
                        help="repeat rank selection once at the chosen weight")
+    p_sel.add_argument("--drop-constant", action="store_true",
+                       help="drop zero-variance variables instead of erroring")
     p_sel.add_argument("--no-compress", action="store_true")
     add_common(p_sel)
     p_sel.set_defaults(func=_cmd_select)

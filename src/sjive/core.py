@@ -18,7 +18,6 @@ gauge without changing any fitted value.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +31,7 @@ from .data import (
     decompress_loadings,
 )
 from .errors import ConfigError, DegeneracyError, RankError, ShapeError, SJiveError
-from .linalg import RANK_TOL
+from .linalg import rank_mask, regress_on_rows, top_svd, unit_frame
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class FitConfig:
     ranks: Ranks
     max_iter: int = 1000
     tol: float = 1e-6
-    seed: int = 0  # recorded for provenance; the fit itself is deterministic
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -175,28 +173,10 @@ def _outcome_values(y):
 
 
 def _truncated_left_scores(m: np.ndarray, r: int):
-    """Top-r left singular vectors L, scores L^T m, and a row-space basis
-    of the scores (columns of the returned basis span row(L^T m)).
-
-    Equivalent to truncating the full signed SVD, but only the kept columns
-    are sign-fixed and copied (the discarded ones are dead work in the
-    inner loop)."""
-    rows, n = m.shape
-    if r == 0:
-        return np.zeros((rows, 0)), np.zeros((0, n)), np.zeros((n, 0))
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    order = np.argsort(-s, kind="stable")[:r]
-    u, s, vt = u[:, order].copy(), s[order].copy(), vt[order].copy()
-    for j in range(r):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
-    if s[0] > 0.0:
-        keep = s > RANK_TOL * s[0]
-    else:
-        keep = np.zeros(r, dtype=bool)
-    return u, s[:, None] * vt, vt[keep].T
+    """Top-r left singular vectors L, scores L^T m, and an orthonormal basis
+    (columns) of the row space of the scores."""
+    u, s, vt = top_svd(m, r)
+    return u, s[:, None] * vt, vt[rank_mask(s)].T
 
 
 def _block_offsets(p: tuple[int, ...]):
@@ -207,26 +187,41 @@ def _block_offsets(p: tuple[int, ...]):
     return offsets
 
 
-def _init_state(stacked, xt, yt, offsets, ranks: Ranks):
-    """Joint part from the SVD of the stacked weighted data, then each
-    individual part from its block residual projected off the joint rows."""
-    n = stacked.shape[1]
-    L, S_J, V = _truncated_left_scores(stacked, ranks.joint)
-    F, S, ind_x = [], [], []
-    y_ind = np.zeros(n)
+def _zero_state(offsets, n):
+    """Individual parts (F, S, ind_x, y_ind) of rank zero."""
+    F = [np.zeros((b - a + 1, 0)) for a, b in offsets]
+    S = [np.zeros((0, n)) for _ in offsets]
+    ind_x = [np.zeros((b - a, n)) for a, b in offsets]
+    return F, S, ind_x, np.zeros(n)
+
+
+def _sweep(stacked, xt, yt, offsets, ranks: Ranks, F, S, ind_x, y_ind):
+    """One ALS sweep; updates F, S and ind_x in place.
+
+    Joint update: best rank-r_J factors of the data minus all individual
+    contributions, taken in one SVD so loadings and scores stay consistent.
+    Individual updates: each block residual is projected onto the orthogonal
+    complement of the joint score rows, which keeps row(S_i) perpendicular
+    to row(S_J). From the zero state this is the initialization.
+    """
+    R = stacked.copy()
+    for (a, b), xc in zip(offsets, ind_x):
+        R[a:b] -= xc
+    R[-1] -= y_ind
+    L, S_J, V = _truncated_left_scores(R, ranks.joint)
     for i, (a, b) in enumerate(offsets):
+        y_others = y_ind - F[i][-1] @ S[i]
         Ri = np.vstack([
             xt[a:b] - L[a:b] @ S_J,
-            (yt - L[-1] @ S_J - y_ind)[None, :],
+            (yt - L[-1] @ S_J - y_others)[None, :],
         ])
         if V.shape[1]:
             Ri -= (Ri @ V) @ V.T
         Fi, Si, _ = _truncated_left_scores(Ri, ranks.individual[i])
-        F.append(Fi)
-        S.append(Si)
-        ind_x.append(Fi[:-1] @ Si)
-        y_ind = y_ind + Fi[-1] @ Si
-    return L, S_J, V, F, S, ind_x, y_ind
+        F[i], S[i] = Fi, Si
+        ind_x[i] = Fi[:-1] @ Si
+        y_ind = y_others + Fi[-1] @ Si
+    return L, S_J, y_ind
 
 
 def _state_objective(stacked, offsets, L, S_J, ind_x, y_ind) -> float:
@@ -238,8 +233,8 @@ def _state_objective(stacked, offsets, L, S_J, ind_x, y_ind) -> float:
 
 
 def _als(stacked, xt, yt, offsets, ranks: Ranks, max_iter: int, tol: float):
-    n = stacked.shape[1]
-    L, S_J, V, F, S, ind_x, y_ind = _init_state(stacked, xt, yt, offsets, ranks)
+    F, S, ind_x, y_ind = _zero_state(offsets, stacked.shape[1])
+    L, S_J, y_ind = _sweep(stacked, xt, yt, offsets, ranks, F, S, ind_x, y_ind)
     trace = [_state_objective(stacked, offsets, L, S_J, ind_x, y_ind)]
     # Absolute stop for exactly representable decompositions, far below any
     # tolerance a caller would use on real data.
@@ -247,29 +242,7 @@ def _als(stacked, xt, yt, offsets, ranks: Ranks, max_iter: int, tol: float):
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        # Joint update: best rank-r_J factors of the data minus all
-        # individual contributions, taken in one SVD so loadings and scores
-        # stay consistent.
-        R = stacked.copy()
-        for (a, b), xc in zip(offsets, ind_x):
-            R[a:b] -= xc
-        R[-1] -= y_ind
-        L, S_J, V = _truncated_left_scores(R, ranks.joint)
-        # Individual updates: each block residual is projected onto the
-        # orthogonal complement of the joint score rows, which keeps
-        # row(S_i) perpendicular to row(S_J).
-        for i, (a, b) in enumerate(offsets):
-            y_others = y_ind - F[i][-1] @ S[i]
-            Ri = np.vstack([
-                xt[a:b] - L[a:b] @ S_J,
-                (yt - L[-1] @ S_J - y_others)[None, :],
-            ])
-            if V.shape[1]:
-                Ri -= (Ri @ V) @ V.T
-            Fi, Si, _ = _truncated_left_scores(Ri, ranks.individual[i])
-            F[i], S[i] = Fi, Si
-            ind_x[i] = Fi[:-1] @ Si
-            y_ind = y_others + Fi[-1] @ Si
+        L, S_J, y_ind = _sweep(stacked, xt, yt, offsets, ranks, F, S, ind_x, y_ind)
         obj = _state_objective(stacked, offsets, L, S_J, ind_x, y_ind)
         trace.append(obj)
         prev = trace[-2]
@@ -281,23 +254,7 @@ def _als(stacked, xt, yt, offsets, ranks: Ranks, max_iter: int, tol: float):
 
 def _regress_outcome_on_scores(yvals, S_J, S_list):
     """Least squares of y on the stacked score rows (no intercept)."""
-    Z = np.vstack([S_J, *S_list])
-    if Z.shape[0] == 0:
-        theta = np.zeros(0)
-    else:
-        G = Z @ Z.T
-        g = Z @ yvals
-        try:
-            theta = np.linalg.solve(G, g)
-            if not np.isfinite(theta).all():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            warnings.warn(
-                "score Gram matrix is singular; using a pseudoinverse",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            theta = np.linalg.pinv(G, rcond=RANK_TOL) @ g
+    theta = regress_on_rows(np.vstack([S_J, *S_list]), yvals)
     r_j = S_J.shape[0]
     th1 = theta[:r_j]
     th2, pos = [], r_j
@@ -327,7 +284,7 @@ def _build_model(L, S_J, F, S, eta, yvals, ranks, cbs, data, yscaler, with_theta
         # With all weight on X the outcome row is zero inside the loop, so
         # the coefficients come from a post-hoc regression on the scores.
         th1, th2 = _regress_outcome_on_scores(yvals, S_J, S)
-    model = SJiveModel(
+    return SJiveModel(
         joint_loadings=U,
         joint_scores=S_J.copy(),
         indiv_loadings=W,
@@ -340,7 +297,6 @@ def _build_model(L, S_J, F, S, eta, yvals, ranks, cbs, data, yscaler, with_theta
         outcome_scaler=yscaler,
         variable_ids=[list(v) for v in data.variable_ids],
     )
-    return model
 
 
 def objective(data, y, model: SJiveModel) -> float:
@@ -409,7 +365,8 @@ def initialize(data, y, cfg: FitConfig, compress="auto") -> SJiveModel:
     data, yvals, yscaler, work, cbs, xt, yt, stacked, offsets = _prepare(
         data, y, cfg, compress
     )
-    L, S_J, V, F, S, ind_x, y_ind = _init_state(stacked, xt, yt, offsets, cfg.ranks)
+    F, S, ind_x, y_ind = _zero_state(offsets, data.n)
+    L, S_J, _ = _sweep(stacked, xt, yt, offsets, cfg.ranks, F, S, ind_x, y_ind)
     return _build_model(
         L, S_J, F, S, cfg.eta, yvals, cfg.ranks, cbs, data, yscaler,
         with_theta=(cfg.eta < 1.0),
@@ -457,42 +414,30 @@ def rescale_identifiable(model: SJiveModel) -> SJiveModel:
     in ``degenerate``.
     """
     in_frame = model.eta < 1.0
-    U = [u.copy() for u in model.joint_loadings]
-    W = [w.copy() for w in model.indiv_loadings]
-    S_J = model.joint_scores.copy()
-    S = [s.copy() for s in model.indiv_scores]
-    th1 = None if model.theta_joint is None else model.theta_joint.copy()
-    th2 = None if model.theta_indiv is None else [t.copy() for t in model.theta_indiv]
+    U, S_J, th1 = model.joint_loadings, model.joint_scores, model.theta_joint
+    W, S = list(model.indiv_loadings), list(model.indiv_scores)
+    th2 = None if model.theta_indiv is None else list(model.theta_indiv)
     flags = []
     if model.ranks.joint > 0:
-        nsq = sum(float(np.sum(u * u)) for u in U)
-        if th1 is not None and in_frame:
-            nsq += float(np.sum(th1 * th1))
-        if nsq == 0.0:
+        framed = unit_frame(U, S_J, th1, theta_in_norm=in_frame)
+        if framed is None:
             flags.append("joint")
         else:
-            c = np.sqrt(nsq)
-            U = [u / c for u in U]
-            if th1 is not None:
-                th1 = th1 / c
-            S_J *= c
+            U, S_J, th1 = framed
     for i, r in enumerate(model.ranks.individual):
         if r == 0:
             continue
-        nsq = float(np.sum(W[i] * W[i]))
-        if th2 is not None and in_frame:
-            nsq += float(np.sum(th2[i] * th2[i]))
-        if nsq == 0.0:
+        framed = unit_frame([W[i]], S[i], None if th2 is None else th2[i],
+                            theta_in_norm=in_frame)
+        if framed is None:
             flags.append(f"individual {i + 1}")
             continue
-        c = np.sqrt(nsq)
-        W[i] = W[i] / c
+        (W[i],), S[i], theta = framed
         if th2 is not None:
-            th2[i] = th2[i] / c
-        S[i] *= c
+            th2[i] = theta
     return replace(
         model,
-        joint_loadings=U,
+        joint_loadings=list(U),
         joint_scores=S_J,
         indiv_loadings=W,
         indiv_scores=S,

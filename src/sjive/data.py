@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegeneracyError, InputError, ParseError, ShapeError
-from .linalg import _signed_svd, as_matrix
+from .linalg import as_matrix, top_svd
 
 # Variables whose sample sd falls at or below this (relative) floor count
 # as constant.
@@ -356,8 +356,7 @@ class CompressedBlock:
 
 def compress(block) -> CompressedBlock:
     """Replace a p x n block by its min(p, n) x n score representation."""
-    arr = as_matrix(block, "block")
-    u, s, vt = _signed_svd(arr)
+    u, s, vt = top_svd(as_matrix(block, "block"))
     return CompressedBlock(scores=s[:, None] * vt, back_map=u)
 
 
@@ -372,11 +371,6 @@ def decompress_loadings(cb: CompressedBlock, compressed_loadings) -> np.ndarray:
     return cb.back_map @ arr
 
 
-def should_compress(p: int, n: int) -> bool:
-    """Compression pays off once a block is taller than it is wide."""
-    return p > n
-
-
 def compress_dataset(data: MultiSourceDataset, mode="auto"):
     """Compress blocks per ``mode`` (True, False or "auto" = only when p > n).
 
@@ -387,8 +381,8 @@ def compress_dataset(data: MultiSourceDataset, mode="auto"):
     cbs: list[CompressedBlock | None] = []
     new_blocks, new_ids = [], []
     for i, block in enumerate(data.blocks):
-        trigger = mode is True or should_compress(block.shape[0], block.shape[1])
-        if trigger:
+        # Compression pays off once a block is taller than it is wide.
+        if mode is True or block.shape[0] > block.shape[1]:
             cb = compress(block)
             cbs.append(cb)
             new_blocks.append(cb.scores)

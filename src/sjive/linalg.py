@@ -1,12 +1,15 @@
-"""Dense-matrix primitives: norms, truncated SVD, QR, row-space projections.
+"""Dense-matrix primitives: the signed truncated SVD, least squares on score
+rows, the unit-norm gauge fix, QR and row-space projections.
 
-Every function here is pure and deterministic. Singular vectors follow a
-fixed sign convention (largest-magnitude entry of each left vector is made
-positive, the paired right vector flips with it) so repeated calls return
+Every function here is pure and deterministic, and each is the package's
+only implementation of its job. Singular vectors follow a fixed sign
+convention (largest-magnitude entry of each left vector is made positive,
+the paired right vector flips with it) so repeated calls return
 bit-identical output.
 """
 
-from dataclasses import dataclass
+import math
+import warnings
 
 import numpy as np
 
@@ -28,49 +31,78 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def frobenius_sq(a) -> float:
-    """Sum of squared entries of a matrix."""
-    arr = as_matrix(a)
-    return float(np.sum(arr * arr))
+def top_svd(a, r: int | None = None):
+    """Top-r thin SVD factors (u, s, vt) with fixed signs; r = None keeps all.
 
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Rank-r factors: left (m x r), singvals (r,) nonincreasing, right (n x r)."""
-
-    left: np.ndarray
-    singvals: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singvals) @ self.right.T
-
-
-def _signed_svd(arr: np.ndarray):
-    """Full thin SVD with stable descending order and fixed signs."""
-    u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    order = np.argsort(-s, kind="stable")
-    u, s, vt = u[:, order].copy(), s[order].copy(), vt[order].copy()
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
-    return u, s, vt
-
-
-def svd_truncated(a, r: int) -> SvdFactors:
-    """Best rank-r approximation factors of a dense matrix.
-
-    Raises RankError when r is outside 1..min(rows, cols) and InputError on
+    Singular values come back in LAPACK's descending order. The largest-
+    magnitude entry of each kept left vector is made positive and the paired
+    right vector flips with it; negation is exact, so equal inputs give
+    bit-identical factors. r = 0 returns empty factors without an SVD.
+    Raises RankError when r is outside 0..min(rows, cols) and InputError on
     non-finite entries.
     """
     arr = as_matrix(a)
-    top = min(arr.shape)
-    if not 1 <= r <= top:
-        raise RankError(f"rank {r} outside valid range 1..{top} for shape {arr.shape}")
-    u, s, vt = _signed_svd(arr)
-    return SvdFactors(left=u[:, :r], singvals=s[:r], right=vt[:r].T)
+    rows, cols = arr.shape
+    top = min(rows, cols)
+    if r is not None and not 0 <= r <= top:
+        raise RankError(f"rank {r} outside valid range 0..{top} for shape {arr.shape}")
+    if r == 0:
+        return np.zeros((rows, 0)), np.zeros(0), np.zeros((0, cols))
+    # Looked up at call time so a patched numpy.linalg.svd sees every call.
+    u, s, vt = np.linalg.svd(arr, full_matrices=False)
+    u, s, vt = u[:, :r], s[:r], vt[:r]
+    sign = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    return u * sign, s, vt * sign[:, None]
+
+
+def rank_mask(s) -> np.ndarray:
+    """Singular values that count as nonzero: above RANK_TOL times the
+    largest; none at all when the largest is zero."""
+    if not s.size or s[0] <= 0.0:
+        return np.zeros(s.shape, dtype=bool)
+    return s > RANK_TOL * s[0]
+
+
+def regress_on_rows(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of y on the rows of z, without intercept.
+
+    Solves the normal equations; when the Gram matrix z z^T is singular it
+    warns once and uses its pseudoinverse (minimum-norm coefficients).
+    """
+    if z.shape[0] == 0:
+        return np.zeros(0)
+    G = z @ z.T
+    g = z @ y
+    try:
+        theta = np.linalg.solve(G, g)
+        if not np.isfinite(theta).all():
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        warnings.warn(
+            "score Gram matrix is singular; using a pseudoinverse",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        theta = np.linalg.pinv(G, rcond=RANK_TOL) @ g
+    return theta
+
+
+def unit_frame(loadings: list, scores: np.ndarray, theta=None, theta_in_norm: bool = True):
+    """Rescale the stacked frame [loadings_1; ...; loadings_k; theta] to unit
+    Frobenius norm, the scores absorbing the factor so every product
+    loadings_i @ scores and theta @ scores is unchanged.
+
+    With ``theta_in_norm=False`` theta is divided by the same factor but
+    left out of the norm. Returns (loadings, scores, theta), or None when
+    the frame is all zero.
+    """
+    nsq = sum(float(np.sum(u * u)) for u in loadings)
+    if theta is not None and theta_in_norm:
+        nsq += float(np.sum(theta * theta))
+    if nsq == 0.0:
+        return None
+    c = math.sqrt(nsq)
+    return [u / c for u in loadings], scores * c, None if theta is None else theta / c
 
 
 def qr_orthonormalize(a) -> np.ndarray:
@@ -88,18 +120,7 @@ def qr_orthonormalize(a) -> np.ndarray:
     scale = np.max(np.abs(diag)) if diag.size else 0.0
     if scale == 0.0 or np.any(np.abs(diag) <= RANK_TOL * scale):
         raise DegeneracyError("input is rank-deficient; columns are linearly dependent")
-    q = q * np.sign(diag)[None, :]
-    return q
-
-
-def row_space_basis(s, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (n x rank) of the row space of an r x n matrix."""
-    arr = np.asarray(s, dtype=float)
-    if arr.size == 0:
-        return np.zeros((arr.shape[1] if arr.ndim == 2 else 0, 0))
-    _, sv, vt = np.linalg.svd(arr, full_matrices=False)
-    keep = sv > tol * sv[0] if sv.size and sv[0] > 0 else np.zeros(sv.shape, dtype=bool)
-    return vt[keep].T
+    return q * np.sign(diag)[None, :]
 
 
 def proj_complement_rows(s) -> np.ndarray:
@@ -112,5 +133,6 @@ def proj_complement_rows(s) -> np.ndarray:
     r, n = arr.shape
     if r > n:
         raise ShapeError(f"need r <= n for an r x n score matrix, got {arr.shape}")
-    basis = row_space_basis(arr)
+    _, sv, vt = top_svd(arr)
+    basis = vt[rank_mask(sv)].T
     return np.eye(n) - basis @ basis.T

@@ -144,12 +144,3 @@ def win_rate(method_mses: dict[str, np.ndarray]) -> dict[str, float]:
         wins[tied] += 1.0 / tied.size
     return {m: float(100.0 * w / table.shape[1]) for m, w in zip(names, wins)}
 
-
-@dataclass
-class EvalReport:
-    """Bundle of evaluation outputs for reporting."""
-
-    test_mse: float | None = None
-    recovery: dict[str, float] | None = None
-    inference: list[ComponentInference] | None = None
-    win_rates: dict[str, float] | None = None

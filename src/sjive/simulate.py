@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import MultiSourceDataset, Outcome
 from .errors import ConfigError, DegeneracyError
-from .linalg import proj_complement_rows, qr_orthonormalize
+from .linalg import proj_complement_rows, qr_orthonormalize, unit_frame
 
 
 @dataclass
@@ -122,8 +122,7 @@ def _draft_frame(rng, rows: int, rank: int, n_pred: int):
     loadings = rng.uniform(0.5, 1.0, size=(rows, rank))
     theta = np.zeros(rank)
     theta[:n_pred] = rng.uniform(0.5, 1.0, size=n_pred)
-    frame = qr_orthonormalize(np.vstack([loadings, theta[None, :]]))
-    return frame
+    return qr_orthonormalize(np.vstack([loadings, theta[None, :]]))
 
 
 def _noise_sigmas(signal: np.ndarray, err: float) -> np.ndarray:
@@ -158,30 +157,17 @@ def generate(cfg: SimConfig):
     r_j = cfg.rank_joint
     n = cfg.n
     if r_j > 0:
-        drafts = [
-            rng_joint_frame.uniform(0.5, 1.0, size=(pi, r_j)) for pi in cfg.p
-        ]
-        theta_draft = np.zeros(r_j)
-        theta_draft[: cfg._n_predictive(r_j)] = rng_joint_frame.uniform(
-            0.5, 1.0, size=cfg._n_predictive(r_j)
-        )
-        joint_frame = qr_orthonormalize(np.vstack([*drafts, theta_draft[None, :]]))
-        U = []
-        a = 0
-        for pi in cfg.p:
-            U.append(joint_frame[a : a + pi].copy())
-            a += pi
+        # One draw of all blocks' loading rows, in block order.
+        joint_frame = _draft_frame(rng_joint_frame, sum(cfg.p), r_j, cfg._n_predictive(r_j))
+        U = [u.copy() for u in np.split(joint_frame[:-1], np.cumsum(cfg.p)[:-1])]
         theta1 = joint_frame[-1].copy()
         S_J = cfg.w_joint * rng_joint_scores.standard_normal((r_j, n))
+        complement = proj_complement_rows(S_J)
     else:
         joint_frame = np.zeros((sum(cfg.p) + 1, 0))
         U = [np.zeros((pi, 0)) for pi in cfg.p]
         theta1 = np.zeros(0)
         S_J = np.zeros((0, n))
-
-    if r_j > 0:
-        complement = proj_complement_rows(S_J)
-    else:
         complement = np.eye(n)
 
     W, theta2, S_i, indiv_frames = [], [], [], []
@@ -238,20 +224,12 @@ def generate(cfg: SimConfig):
     theta2 = [t / sd_y for t in theta2]
 
     # Unit Frobenius norm of each stacked loading block, scores absorbing.
+    # The QR frames have no zero columns, so no frame is all zero here.
     if r_j > 0:
-        nsq = sum(float(np.sum(u * u)) for u in U) + float(np.sum(theta1 * theta1))
-        c = math.sqrt(nsq)
-        U = [u / c for u in U]
-        theta1 = theta1 / c
-        S_J = S_J * c
+        U, S_J, theta1 = unit_frame(U, S_J, theta1)
     for i in range(cfg.k):
-        if cfg.rank_indiv[i] == 0:
-            continue
-        nsq = float(np.sum(W[i] * W[i])) + float(np.sum(theta2[i] * theta2[i]))
-        c = math.sqrt(nsq)
-        W[i] = W[i] / c
-        theta2[i] = theta2[i] / c
-        S_i[i] = S_i[i] * c
+        if cfg.rank_indiv[i] > 0:
+            (W[i],), S_i[i], theta2[i] = unit_frame([W[i]], S_i[i], theta2[i])
 
     joint_structure = [u @ S_J for u in U]
     indiv_structure = [w @ s for w, s in zip(W, S_i)]
@@ -294,17 +272,13 @@ def eigen_signal_report(truth: SimTruth, data: MultiSourceDataset | None = None)
         recon = truth.stacked_signal() + np.vstack(truth.noise_blocks)
         if not np.allclose(recon, np.vstack(data.blocks), atol=1e-8):
             raise DegeneracyError("truth does not reproduce the supplied data")
-    signal_sv = 0.0
-    joint = truth.stacked_joint()
-    if joint.size and np.any(joint):
-        signal_sv = float(np.linalg.svd(joint, compute_uv=False)[0])
-    for A in truth.indiv_structure:
-        if A.size and np.any(A):
-            signal_sv = max(signal_sv, float(np.linalg.svd(A, compute_uv=False)[0]))
-    noise_sv = 0.0
-    for E in truth.noise_blocks:
-        if E.size and np.any(E):
-            noise_sv = max(noise_sv, float(np.linalg.svd(E, compute_uv=False)[0]))
+
+    def top_sv(mats) -> float:
+        return max((float(np.linalg.svd(m, compute_uv=False)[0])
+                    for m in mats if m.size and np.any(m)), default=0.0)
+
+    signal_sv = top_sv([truth.stacked_joint(), *truth.indiv_structure])
+    noise_sv = top_sv(truth.noise_blocks)
     return signal_sv, noise_sv
 
 

@@ -5,15 +5,12 @@ reproductions of the published simulation studies plus exactness and
 equivalence checks; the whole module takes roughly 10 minutes.
 """
 
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from sjive.bench import run_benchmark
+from sjive.bench import map_single_threaded, run_benchmark
 from sjive.core import FitConfig, Ranks, fit
 from sjive.metrics import component_inference
 from sjive.metrics import test_mse as mse_of
@@ -194,33 +191,6 @@ def test_criterion_5_monotone_descent_suite():
     )
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _map_single_threaded(func, items, workers=2):
-    """``list(map(func, items))`` run in ``workers`` fresh processes whose
-    BLAS uses one thread.
-
-    For independent, deterministic cases the results equal a serial run's.
-    The single BLAS thread matters: on two CPUs, four rank selections took
-    144 s serially, 373 s in two forked workers that kept the parent's
-    threaded BLAS, and 87 s in two single-threaded workers.
-    """
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        # Workers start inside pool.map, so they all see the setting.
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(func, items))
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
 def _rank_selection_case(case):
     x_err, seed = case
     cfg = SimConfig(k=2, p=(100, 100), n=100, rank_joint=1,
@@ -238,7 +208,7 @@ def test_criterion_6_rank_selection():
     # recovery of the assignment happens at roughly the published ~20-25%
     # rate, not in 7/10 runs. Kept as specified; see the decisions ledger.
     cases = [(x_err, seed) for x_err in (0.10, 0.50) for seed in range(10)]
-    chosen = dict(zip(cases, _map_single_threaded(_rank_selection_case, cases)))
+    chosen = dict(zip(cases, map_single_threaded(_rank_selection_case, cases)))
     exact = sum((chosen[0.10, seed].joint, *chosen[0.10, seed].individual) == (1, 1, 1)
                 for seed in range(10))
     joint_ok = sum(chosen[0.50, seed].joint == 1 for seed in range(10))

@@ -1,3 +1,6 @@
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -101,3 +104,36 @@ def test_zero_rank_model_roundtrip(tmp_path):
     loaded, _ = load_model(path)
     assert loaded.joint_scores.shape == (0, 10)
     assert loaded.theta_joint.size == 0
+
+
+def test_archive_written_at_exact_path(fitted, tmp_path):
+    _, _, truth, model, report = fitted
+    for name in ("model.zip", "model", "model.npz.bak"):
+        path = tmp_path / name
+        save_model(model, str(path), report)
+        assert path.is_file()
+        loaded, _ = load_model(str(path))
+        assert np.array_equal(loaded.joint_scores, model.joint_scores)
+    save_truth(truth, tmp_path / "truth.zip")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "model", "model.npz.bak", "model.zip", "truth.zip"]
+
+
+def test_version_one_archive_rejected(tmp_path):
+    # Format version 1 stored CSV matrices and a manifest.json in a zip.
+    path = tmp_path / "old.zip"
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("matrices/joint_scores.csv", "1.0,2.0\n")
+        zf.writestr("manifest.json", json.dumps({"format_version": 1, "kind": "model"}))
+    with pytest.raises(ParseError, match="version 1.*refit"):
+        load_model(path)
+    with pytest.raises(ParseError, match="version 1"):
+        load_truth(path)
+
+
+@pytest.mark.parametrize("content", [b"id,s1\nv1,1.0\n", b"", b"PK\x03\x04broken"])
+def test_non_archive_rejected(tmp_path, content):
+    path = tmp_path / "x.bin"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="not a model archive"):
+        load_model(path)

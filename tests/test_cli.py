@@ -267,3 +267,21 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_select_drop_constant(tmp_path):
+    x = tmp_path / "x.csv"
+    x.write_text(
+        "id," + ",".join(f"s{j}" for j in range(1, 11)) + "\n"
+        "v1,1,2,3,4,5,6,7,8,9,10\n"
+        "v2,2,2,2,2,2,2,2,2,2,2\n"
+        "v3,3,1,4,1,5,9,2,6,5,3\n",
+        encoding="utf-8",
+    )
+    y = tmp_path / "y.csv"
+    y.write_text("id," + ",".join(f"s{j}" for j in range(1, 11)) + "\n"
+                 "y,1.5,2.5,0.5,4.5,1.0,3.5,2.0,0.0,3.0,1.0\n", encoding="utf-8")
+    args = ["select", "--x", str(x), "--y", str(y), "--eta-grid", "0.5"]
+    assert main([*args, "--out", str(tmp_path / "a")]) == 2
+    assert main([*args, "--drop-constant", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "chosen.csv").exists()

@@ -5,52 +5,71 @@ from hypothesis import strategies as st
 
 from sjive.errors import DegeneracyError, InputError, RankError, ShapeError
 from sjive.linalg import (
-    frobenius_sq,
     proj_complement_rows,
     qr_orthonormalize,
-    row_space_basis,
-    svd_truncated,
+    rank_mask,
+    regress_on_rows,
+    top_svd,
+    unit_frame,
 )
 
 
+def _reconstruct(u, s, vt):
+    return (u * s) @ vt
+
+
+# The squared Frobenius norm of a stacked frame is what unit_frame divides
+# out; these three check that sum of squares.
 def test_frobenius_sq_known_values():
-    assert frobenius_sq([[3.0, 4.0]]) == 25.0
-    assert frobenius_sq(np.eye(2)) == 2.0
+    loadings, scores, _ = unit_frame([np.array([[3.0], [4.0]])], np.ones((1, 2)))
+    assert loadings[0][:, 0] == pytest.approx([0.6, 0.8], rel=1e-15)
+    assert scores == pytest.approx(np.full((1, 2), 5.0), rel=1e-15)
+    _, scores, _ = unit_frame([np.eye(2)], np.ones((2, 1)), np.zeros(2))
+    assert scores == pytest.approx(np.full((2, 1), np.sqrt(2.0)), rel=1e-15)
 
 
 def test_frobenius_sq_matches_scalar_loop():
     rng = np.random.default_rng(42)
-    a = rng.normal(size=(5, 4))
+    parts = [rng.normal(size=(5, 4)), rng.normal(size=(3, 4))]
+    theta = rng.normal(size=4)
     total = 0.0
-    for i in range(5):
-        for j in range(4):
-            total += a[i, j] ** 2
-    assert frobenius_sq(a) == pytest.approx(total, rel=1e-14)
+    for part in parts:
+        for i in range(part.shape[0]):
+            for j in range(part.shape[1]):
+                total += part[i, j] ** 2
+    scores = rng.normal(size=(4, 6))
+    # theta outside the norm is still divided, so theta @ scores is kept
+    loadings, new_scores, new_theta = unit_frame(parts, scores, theta, theta_in_norm=False)
+    assert new_scores == pytest.approx(scores * np.sqrt(total), rel=1e-14)
+    assert new_theta @ new_scores == pytest.approx(theta @ scores, rel=1e-12)
+    total += sum(t ** 2 for t in theta)
+    loadings, new_scores, new_theta = unit_frame(parts, scores, theta)
+    assert new_scores == pytest.approx(scores * np.sqrt(total), rel=1e-14)
+    nsq = sum(float(np.sum(u * u)) for u in loadings) + float(np.sum(new_theta ** 2))
+    assert nsq == pytest.approx(1.0, rel=1e-14)
+    for u, part in zip(loadings, parts):
+        assert u @ new_scores == pytest.approx(part @ scores, rel=1e-12)
 
 
 def test_frobenius_sq_zero_iff_zero_matrix():
-    assert frobenius_sq(np.zeros((3, 2))) == 0.0
-    assert frobenius_sq([[0.0, 1e-150]]) > 0.0
-
-
-def test_frobenius_rejects_nonfinite():
-    with pytest.raises(InputError):
-        frobenius_sq([[1.0, np.nan]])
+    assert unit_frame([np.zeros((3, 2))], np.ones((2, 4))) is None
+    assert unit_frame([np.zeros((3, 2))], np.ones((2, 4)), np.zeros(2)) is None
+    assert unit_frame([np.array([[0.0, 1e-150]])], np.ones((2, 1))) is not None
 
 
 def test_svd_truncated_diagonal():
-    f = svd_truncated(np.diag([3.0, 2.0]), 1)
-    assert f.singvals == pytest.approx([3.0])
-    assert f.left[:, 0] == pytest.approx([1.0, 0.0])
-    assert f.right[:, 0] == pytest.approx([1.0, 0.0])
+    u, s, vt = top_svd(np.diag([3.0, 2.0]), 1)
+    assert s == pytest.approx([3.0])
+    assert u[:, 0] == pytest.approx([1.0, 0.0])
+    assert vt[0] == pytest.approx([1.0, 0.0])
 
 
 def test_svd_truncated_full_rank_reconstructs():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(6, 4))
-    f = svd_truncated(a, 4)
-    err = np.linalg.norm(a - f.reconstruct()) / np.linalg.norm(a)
+    err = np.linalg.norm(a - _reconstruct(*top_svd(a, 4))) / np.linalg.norm(a)
     assert err < 1e-8
+    assert np.array_equal(_reconstruct(*top_svd(a)), _reconstruct(*top_svd(a, 4)))
 
 
 def _power_iteration_sv(a, iters=5000):
@@ -72,15 +91,13 @@ def test_svd_truncated_rank2_matrix():
     u1, u2 = rng.normal(size=6), rng.normal(size=6)
     v1, v2 = rng.normal(size=6), rng.normal(size=6)
     a = 5.0 * np.outer(u1, v1) + 2.0 * np.outer(u2, v2)
-    f2 = svd_truncated(a, 2)
-    assert frobenius_sq(a - f2.reconstruct()) < 1e-10
+    assert np.sum((a - _reconstruct(*top_svd(a, 2))) ** 2) < 1e-10
 
     sigma1 = _power_iteration_sv(a)
-    deflated = a - svd_truncated(a, 1).reconstruct()
-    sigma2 = _power_iteration_sv(deflated)
-    f1 = svd_truncated(a, 1)
-    assert f1.singvals[0] == pytest.approx(sigma1, rel=1e-8)
-    assert frobenius_sq(a - f1.reconstruct()) == pytest.approx(sigma2**2, rel=1e-6)
+    f1 = top_svd(a, 1)
+    sigma2 = _power_iteration_sv(a - _reconstruct(*f1))
+    assert f1[1][0] == pytest.approx(sigma1, rel=1e-8)
+    assert np.sum((a - _reconstruct(*f1)) ** 2) == pytest.approx(sigma2**2, rel=1e-6)
 
 
 def test_svd_truncated_discarded_energy():
@@ -89,30 +106,33 @@ def test_svd_truncated_discarded_energy():
     a = rng.normal(size=(8, 5))
     s = np.linalg.svd(a, compute_uv=False)
     for r in (1, 2, 4):
-        f = svd_truncated(a, r)
         expected = float(np.sum(s[r:] ** 2))
-        assert frobenius_sq(a - f.reconstruct()) == pytest.approx(expected, rel=1e-8)
+        got = float(np.sum((a - _reconstruct(*top_svd(a, r))) ** 2))
+        assert got == pytest.approx(expected, rel=1e-8)
 
 
 def test_svd_truncated_rank_errors():
     a = np.eye(3)
     with pytest.raises(RankError):
-        svd_truncated(a, 0)
+        top_svd(a, -1)
     with pytest.raises(RankError):
-        svd_truncated(a, 4)
+        top_svd(a, 4)
     with pytest.raises(InputError):
-        svd_truncated([[np.inf, 0.0], [0.0, 1.0]], 1)
+        top_svd([[np.inf, 0.0], [0.0, 1.0]], 1)
+    # rank 0 is valid and returns empty factors
+    u, s, vt = top_svd(np.ones((4, 3)), 0)
+    assert (u.shape, s.shape, vt.shape) == ((4, 0), (0,), (0, 3))
 
 
 def test_svd_truncated_deterministic_sign():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(7, 4))
-    f1 = svd_truncated(a, 3)
-    f2 = svd_truncated(a.copy(), 3)
-    assert np.array_equal(f1.left, f2.left)
-    assert np.array_equal(f1.right, f2.right)
+    u1, _, vt1 = top_svd(a, 3)
+    u2, _, vt2 = top_svd(a.copy(), 3)
+    assert np.array_equal(u1, u2)
+    assert np.array_equal(vt1, vt2)
     for j in range(3):
-        col = f1.left[:, j]
+        col = u1[:, j]
         assert col[np.argmax(np.abs(col))] > 0
 
 
@@ -188,25 +208,60 @@ def test_proj_complement_properties(r, n, seed):
     assert np.allclose(s @ p, 0.0, atol=1e-8 * max(1.0, np.abs(s).max()))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=6),
-    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=7),
+    st.booleans(),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_svd_minimality_property(m, n, seed):
+def test_svd_minimality_property(m, n, r, low_rank, seed):
+    # top_svd: sign rule, truncation equal bit for bit to truncating the
+    # full output, the r = 0 shortcut, and minimal discarded energy.
+    r = min(r, m, n)
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(m, n))
-    s = np.linalg.svd(a, compute_uv=False)
-    r = max(1, min(m, n) - 1)
-    f = svd_truncated(a, r)
-    discarded = float(np.sum(s[r:] ** 2))
-    got = frobenius_sq(a - f.reconstruct())
+    if low_rank:
+        a = rng.normal(size=(m, 1)) @ rng.normal(size=(1, n))
+    u, s, vt = top_svd(a, r)
+    assert (u.shape, s.shape, vt.shape) == ((m, r), (r,), (r, n))
+    fu, fs, fvt = top_svd(a)
+    assert np.array_equal(u, fu[:, :r])
+    assert np.array_equal(s, fs[:r])
+    assert np.array_equal(vt, fvt[:r])
+    for j in range(r):
+        assert u[np.argmax(np.abs(u[:, j])), j] > 0
+    assert np.all(np.diff(fs) <= 0)
+    discarded = float(np.sum(fs[r:] ** 2))
+    got = float(np.sum((a - _reconstruct(u, s, vt)) ** 2))
     assert got == pytest.approx(discarded, rel=1e-8, abs=1e-12)
+    # projecting on any other r directions leaves at least as much behind
+    if r:
+        q, _ = np.linalg.qr(rng.normal(size=(m, r)))
+        other = float(np.sum((a - q @ (q.T @ a)) ** 2))
+        assert got <= other + 1e-10 * max(1.0, other)
 
 
 def test_row_space_basis_shapes():
+    # The kept right singular vectors are the row-space basis.
     s = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    b = row_space_basis(s)
+    _, sv, vt = top_svd(s)
+    b = vt[rank_mask(sv)].T
     assert b.shape == (3, 2)
     assert b.T @ b == pytest.approx(np.eye(2), abs=1e-12)
+
+
+def test_rank_mask_rule():
+    assert rank_mask(np.array([2.0, 1.0, 1e-11])).tolist() == [True, True, False]
+    assert rank_mask(np.zeros(3)).tolist() == [False, False, False]
+    assert rank_mask(np.zeros(0)).shape == (0,)
+
+
+def test_regress_on_rows_solves_normal_equations():
+    rng = np.random.default_rng(21)
+    z = rng.normal(size=(3, 12))
+    y = rng.normal(size=12)
+    theta = regress_on_rows(z, y)
+    assert theta == pytest.approx(np.linalg.lstsq(z.T, y, rcond=None)[0], rel=1e-10)
+    assert regress_on_rows(np.zeros((0, 12)), y).shape == (0,)
