@@ -25,7 +25,8 @@ class BaselineModel:
     kind picks the layout: "jive_predict" wraps a full decomposition model,
     the PCA kinds hold a single loading matrix (stacked over blocks for
     "concat_pca", one block for "individual_pca") and regression
-    coefficients for the score rows.
+    coefficients for the score rows. ``converged`` is False when the
+    decomposition behind "jive_predict" stopped at max_iter.
     """
 
     kind: str
@@ -36,6 +37,7 @@ class BaselineModel:
     block: int | None = None
     model: SJiveModel | None = None
     outcome_scaler: object = None
+    converged: bool = True
 
 
 def _unsupervised_cfg(ranks: Ranks, cfg: FitConfig | None) -> FitConfig:
@@ -53,13 +55,14 @@ def fit_jive(data, ranks: Ranks, cfg: FitConfig | None = None):
 def fit_jive_predict(data, y, ranks: Ranks, cfg: FitConfig | None = None) -> BaselineModel:
     """Two-step baseline: unsupervised decomposition, then least squares of
     the outcome on the stacked score rows (one parameter per rank)."""
-    model, _ = fit(_as_dataset(data), y, _unsupervised_cfg(ranks, cfg))
+    model, report = fit(_as_dataset(data), y, _unsupervised_cfg(ranks, cfg))
     theta = np.concatenate([model.theta_joint, *model.theta_indiv])
     return BaselineModel(
         kind="jive_predict",
         rank=ranks.total,
         coefficients=theta,
         model=model,
+        converged=report.converged,
     )
 
 

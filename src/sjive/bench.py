@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +35,7 @@ class ReplicateResult:
     signal_sv: float
     noise_sv: float
     eta_used: float
+    unconverged: int  # fits (sJIVE, eta = 1 baseline) that stopped at max_iter
 
 
 @dataclass
@@ -77,6 +80,7 @@ def run_replicate(
     signal_sv, noise_sv = eigen_signal_report(truth)
     mses: dict[str, float] = {}
     eta_used = float("nan")
+    unconverged = 0
     if "sjive" in methods:
         if eta == "cv":
             plan = make_cv_plan(train_x.n, seed=total_cfg.seed)
@@ -85,12 +89,14 @@ def run_replicate(
             eta_val = float(eta)
         eta_used = eta_val
         cfg = FitConfig(eta=eta_val, ranks=ranks, max_iter=max_iter, tol=tol)
-        model, _ = fit(train_x, train_y, cfg)
+        model, report = fit(train_x, train_y, cfg)
+        unconverged += not report.converged
         est = estimate_scores(model, test_x)
         mses["sjive"] = test_mse(test_y.values, predict(model, est, standardized=True))
     if "jive_predict" in methods:
         cfg = FitConfig(eta=1.0, ranks=ranks, max_iter=max_iter, tol=tol)
         bm = fit_jive_predict(train_x, train_y, ranks, cfg)
+        unconverged += not bm.converged
         mses["jive_predict"] = test_mse(
             test_y.values, baseline_predict(bm, test_x)
         )
@@ -106,7 +112,8 @@ def run_replicate(
                 test_y.values, baseline_predict(bm, test_x)
             )
     return ReplicateResult(
-        rep=rep, mses=mses, signal_sv=signal_sv, noise_sv=noise_sv, eta_used=eta_used
+        rep=rep, mses=mses, signal_sv=signal_sv, noise_sv=noise_sv, eta_used=eta_used,
+        unconverged=unconverged,
     )
 
 
@@ -121,7 +128,8 @@ def map_single_threaded(func, items, workers: int = 2) -> list:
     workers that kept the parent's threaded BLAS, and 87 s in two
     single-threaded workers. The calling process keeps its own BLAS
     setting. Workers import the caller's main module, so a script that
-    calls this needs the ``if __name__ == "__main__":`` guard.
+    calls this needs the ``if __name__ == "__main__":`` guard; a worker
+    that dies raises ``BrokenProcessPool`` naming that guard.
     """
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
@@ -130,6 +138,12 @@ def map_single_threaded(func, items, workers: int = 2) -> list:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             return list(pool.map(func, items))
+    except BrokenProcessPool as exc:
+        raise BrokenProcessPool(
+            "a worker process died before returning its result; the likely cause "
+            "is a calling script without an 'if __name__ == \"__main__\":' guard, "
+            "whose module-level code each spawned worker runs again on import"
+        ) from exc
     finally:
         for var, value in saved.items():
             if value is None:
@@ -165,5 +179,14 @@ def run_benchmark(
         results = map_single_threaded(_worker, jobs, workers=threads)
     else:
         results = [_worker(j) for j in jobs]
+    unconverged = sum(r.unconverged for r in results)
+    if unconverged:
+        fits = reps * sum(m in methods for m in ("sjive", "jive_predict"))
+        warnings.warn(
+            f"{unconverged} of {fits} replicate fits stopped at max_iter without "
+            "converging; their test MSEs may be off",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     method_names = list(results[0].mses)
     return BenchmarkResult(replicates=results, methods=method_names)

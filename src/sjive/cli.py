@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .archive import load_model, load_truth, save_model, save_truth
-from .bench import run_benchmark
 from .core import FitConfig, Ranks, fit
 from .data import (
     MultiSourceDataset,
@@ -285,6 +284,9 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    # Imported here so fit and predict do not load the process-pool modules.
+    from .bench import run_benchmark
+
     t0 = time.perf_counter()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -325,7 +327,8 @@ def _cmd_benchmark(args) -> int:
         outdir,
         "benchmark",
         {**sim_cfg.__dict__, "n_test": n_test, "reps": args.reps, "eta": args.eta,
-         "threads": args.threads},
+         "threads": args.threads,
+         "unconverged_fits": sum(r.unconverged for r in result.replicates)},
         sim_cfg.seed,
         time.perf_counter() - t0,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,9 +40,74 @@ def load_csv(path, samples_in_rows: bool = False) -> LabeledMatrix:
     result is transposed. Ragged rows, non-numeric or non-finite cells and
     duplicate identifiers raise ParseError naming the offending location.
 
-    Rows are streamed and each row's cells are converted in one call
-    (numpy accepts exactly the strings ``float`` accepts); the cell-by-cell
-    scan runs only on a row that fails, to name the bad cell.
+    A plain table (no quotes, every value finite and in the form numpy's C
+    parser reads) is converted in one ``np.loadtxt`` call; any other file
+    goes through the streamed reader, which gives the same values for
+    everything both accept and names the bad cell when a file is invalid.
+    """
+    values, row_ids, col_ids = _load_plain(path) or _load_streamed(path)
+    for name, ids in (("row", row_ids), ("column", col_ids)):
+        seen = set()
+        for i in ids:
+            if i in seen:
+                raise ParseError(f"{path}: duplicate {name} id '{i}'")
+            seen.add(i)
+    if samples_in_rows:
+        return LabeledMatrix(values.T.copy(), row_ids=col_ids, col_ids=row_ids)
+    return LabeledMatrix(values, row_ids=row_ids, col_ids=col_ids)
+
+
+def _load_plain(path):
+    """(values, row ids, column ids) of a plain table, or None to leave the
+    file to the streamed reader.
+
+    The file declines on a quote, a NUL (csv.reader refuses it before
+    Python 3.11), a non-empty line without a comma, a field longer than
+    csv's field limit, no data line (loadtxt's empty-input warning), a cell
+    ``np.loadtxt`` rejects, a shape other than (lines, header columns - 1)
+    or a non-finite value. numpy converts each cell with the C routine
+    ``float`` uses (it rejects ``1_000`` and non-ASCII digits, which then go
+    to the streamed reader), so accepted values are bit-identical.
+    """
+    limit = csv.field_size_limit()
+    header, row_ids, rests = None, [], []
+    try:
+        # Text mode ends lines at "\n", "\r\n" and "\r", as csv.reader does.
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.rstrip("\n")
+                if not line:
+                    continue  # csv.reader yields an empty row, which is skipped
+                if '"' in line or "\0" in line or (
+                        len(line) > limit and max(map(len, line.split(","))) > limit):
+                    return None
+                rid, comma, rest = line.partition(",")
+                if not comma:
+                    return None
+                if header is None:
+                    header = next(csv.reader([line]))
+                else:
+                    row_ids.append(rid.strip())
+                    rests.append(rest)
+    except UnicodeDecodeError:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt's empty-input warning
+        try:
+            values = np.loadtxt(rests, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except (ValueError, UserWarning):
+            return None
+    if values.shape != (len(rests), len(header) - 1) or not np.isfinite(values).all():
+        return None
+    return values, row_ids, [c.strip() for c in header[1:]]
+
+
+def _load_streamed(path):
+    """(values, row ids, column ids) read row by row from ``csv.reader``.
+
+    Each row's cells are converted in one call (numpy accepts exactly the
+    strings ``float`` accepts); the cell-by-cell scan runs only on a row
+    that fails, to name the bad cell.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = (row for row in csv.reader(fh) if row)
@@ -69,16 +135,7 @@ def load_csv(path, samples_in_rows: bool = False) -> LabeledMatrix:
                 vals = _scan_row(path, row, rid, col_ids)
             row_ids.append(rid)
             data.append(vals)
-    for name, ids in (("row", row_ids), ("column", col_ids)):
-        seen = set()
-        for i in ids:
-            if i in seen:
-                raise ParseError(f"{path}: duplicate {name} id '{i}'")
-            seen.add(i)
-    values = np.vstack(data)
-    if samples_in_rows:
-        return LabeledMatrix(values.T.copy(), row_ids=col_ids, col_ids=row_ids)
-    return LabeledMatrix(values, row_ids=row_ids, col_ids=col_ids)
+    return np.vstack(data), row_ids, col_ids
 
 
 def _scan_row(path, row, rid, col_ids) -> np.ndarray:

@@ -157,6 +157,16 @@ def test_benchmark_command(simdir, tmp_path):
     assert signal[0] == ["rep", "signal_top_sv", "noise_top_sv", "eta_used"]
 
 
+def test_benchmark_command_counts_unconverged_fits(simdir, tmp_path):
+    cfg, _ = simdir
+    bdir = tmp_path / "bench"
+    with pytest.warns(RuntimeWarning, match="4 of 4 replicate fits stopped at max_iter"):
+        rc = main(["benchmark", "--config", str(cfg), "--reps", "2",
+                   "--out", str(bdir), "--max-iter", "1"])
+    assert rc == 0
+    assert "unconverged_fits = 4" in (bdir / "manifest.txt").read_text(encoding="utf-8")
+
+
 def test_select_command(tmp_path):
     # tiny noiseless problem so selection is quick and decisive
     cfg = tmp_path / "sim.cfg"
@@ -257,16 +267,29 @@ def test_fit_drop_constant_with_rank_selection(tmp_path):
     assert f"dropped_variables = block1:{rows[1][0]}" in manifest
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is needed only for the F-test p-values; the CLI must not pay
-    # its import on every call.
+def _modules_loaded_by_cli_import(prefixes):
+    """Names of the modules starting with one of ``prefixes`` that a fresh
+    interpreter has loaded after ``import sjive.cli``."""
     src = str(Path(sjive.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = "import sys, sjive.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, sjive.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is needed only for the F-test p-values; the CLI must not pay
+    # its import on every call.
+    assert _modules_loaded_by_cli_import(["scipy"]) == "[]"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # Only `sjive benchmark` starts worker processes; fit and predict must
+    # not pay for importing the pool modules.
+    assert _modules_loaded_by_cli_import(["multiprocessing", "concurrent"]) == "[]"
 
 
 def test_select_drop_constant(tmp_path):

@@ -1,5 +1,11 @@
+import csv
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjive.core import FitConfig, Ranks, fit, objective
 from sjive.data import (
@@ -138,10 +144,15 @@ def test_load_csv_error_messages(tmp_path, body, message):
 
 
 def test_load_csv_header_errors(tmp_path):
-    for text in ("", "id,s1\n", "\n\nid,s1\n\n"):
+    # A header-only file reaches np.loadtxt's empty-input warning, which
+    # must not escape.
+    for text in ("", "id,s1\n", "\n\nid,s1\n\n", "id,s1,s2\r\n\r\n"):
         path = _write(tmp_path, "x.csv", text)
-        with pytest.raises(ParseError, match="expected a header row and at least one data row"):
-            load_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as info:
+                load_csv(path)
+        assert str(info.value) == f"{path}: expected a header row and at least one data row"
     path = _write(tmp_path, "x.csv", "id\nv1\n")
     with pytest.raises(ParseError, match="header must contain at least one sample id"):
         load_csv(path)
@@ -163,6 +174,135 @@ def test_load_csv_falls_back_to_cell_scan(tmp_path, monkeypatch):
     path = _write(tmp_path, "x.csv", "id,s1,s2\nv1,1,2\nv2,6,7\nv3,8,9\n")
     monkeypatch.setattr(data_module, "np", RejectingNumpy())
     assert load_csv(path).values.tolist() == [[1.0, 2.0], [6.0, 7.0], [8.0, 9.0]]
+
+
+def test_load_csv_declined_file_still_scans_cells(tmp_path, monkeypatch):
+    # Companion to the test above: a quoted id makes the one-call parse
+    # decline, and the streamed reader's cell-by-cell scan takes the row
+    # its one-call conversion rejects.
+    class RejectingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def array(obj, *args, **kwargs):
+            if isinstance(obj, list) and "6" in obj:
+                raise ValueError("rejected")
+            return np.array(obj, *args, **kwargs)
+
+    scanned = []
+
+    def spy_scan(path, row, rid, col_ids):
+        scanned.append(rid)
+        return scan(path, row, rid, col_ids)
+
+    scan = data_module._scan_row
+    path = _write(tmp_path, "x.csv", 'id,s1,s2\n"v1",1,2\nv2,6,7\nv3,8,9\n')
+    assert data_module._load_plain(path) is None
+    monkeypatch.setattr(data_module, "np", RejectingNumpy())
+    monkeypatch.setattr(data_module, "_scan_row", spy_scan)
+    assert load_csv(path).values.tolist() == [[1.0, 2.0], [6.0, 7.0], [8.0, 9.0]]
+    assert scanned == ["v2"]
+
+
+def test_load_csv_plain_file_needs_no_streamed_reader(tmp_path, monkeypatch):
+    # A plain table is parsed in one call; were it silently handed to the
+    # streamed reader every time, this would fail.
+    def refuse(path):
+        raise AssertionError("streamed reader used for a plain table")
+
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=(6, 5))
+    path = tmp_path / "m.csv"
+    write_csv(path, vals, [f"v{i}" for i in range(6)], [f"s{j}" for j in range(5)])
+    blank_lines = _write(tmp_path, "b.csv", "\r\nid, s1 ,s2\r\n\r\n v1 ,1,-0\r\nv2,\t3 , 4e-3")
+    monkeypatch.setattr(data_module, "_load_streamed", refuse)
+    for samples_in_rows in (False, True):
+        m = load_csv(path, samples_in_rows=samples_in_rows)
+        expected = vals.T if samples_in_rows else vals
+        assert m.values.tobytes() == np.ascontiguousarray(expected).tobytes()
+    m = load_csv(blank_lines)
+    assert m.values.tobytes() == np.array([[1.0, -0.0], [3.0, 4e-3]]).tobytes()
+    assert m.row_ids == ["v1", "v2"] and m.col_ids == ["s1", "s2"]
+
+
+def test_load_csv_overlong_field_left_to_csv(tmp_path):
+    # csv.reader refuses a field over its size limit; the one-call parse
+    # declines such a file rather than accept it.
+    long_id = "v" * (csv.field_size_limit() + 1)
+    path = _write(tmp_path, "x.csv", f"id,s1\n{long_id},1\n")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        load_csv(path)
+
+
+_REPR_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_PAD = st.sampled_from(["", " ", "\t", " \t "])
+# Cells float() accepts, some of which numpy's C parser rejects.
+_GOOD_CELLS = st.one_of(
+    _REPR_FLOATS,
+    st.sampled_from(["-0.0", "0.0", "5e-324", "-2.225073858507201e-308", "1e300",
+                     "-1e-300", "1.7976931348623157e+308"]),
+    st.tuples(_PAD, _REPR_FLOATS, _PAD).map("".join),
+    st.sampled_from(["1_000", "\u0661\u0662", "\uff13"]),
+)
+_BAD_CELLS = st.sampled_from(["nan", "-inf", "inf", "1e999", "", "NA", "#1"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV table: plain numeric tables, and tables with awkward cells,
+    quoted ids, empty and whitespace-only lines, trailing commas and
+    ragged rows."""
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 4))
+    awkward = draw(st.booleans())
+
+    def rare():
+        return awkward and draw(st.integers(0, 19)) == 0
+
+    def cell():
+        if not awkward:
+            return draw(st.one_of(_REPR_FLOATS, st.sampled_from(["-0.0", "5e-324"])))
+        return draw(_BAD_CELLS if rare() else _GOOD_CELLS)
+
+    def line(rid, cells):
+        if rare():
+            cells = cells + [""]  # trailing comma
+        if rare():
+            cells = cells[:-1]  # ragged
+        return ",".join([rid, *cells])
+
+    lines = [line("id", [draw(st.sampled_from([f"s{j}", f" s{j} "])) for j in range(n_cols)])]
+    for i in range(n_rows):
+        rid = draw(st.sampled_from([f"v{i}", f" v{i}\t", f'"v,{i}"'] if awkward else [f"v{i}"]))
+        lines.append(line(rid, [cell() for _ in range(n_cols)]))
+    if awkward:
+        for _ in range(draw(st.integers(0, 2))):
+            blank = draw(st.sampled_from(["", "", " ", "\t"]))
+            lines.insert(draw(st.integers(0, len(lines))), blank)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts(), samples_in_rows=st.booleans())
+def test_load_csv_matches_reference_or_streamed_error(tmp_path_factory, text, samples_in_rows):
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        m = load_csv(path, samples_in_rows=samples_in_rows)
+    except ParseError as exc:
+        with mock.patch.object(data_module, "_load_plain", lambda path: None):
+            with pytest.raises(ParseError) as streamed:
+                load_csv(path, samples_in_rows=samples_in_rows)
+        assert str(exc) == str(streamed.value)
+        return
+    values, row_ids, col_ids = reference_load_csv(path)
+    if samples_in_rows:
+        values, row_ids, col_ids = values.T, col_ids, row_ids
+    assert m.values.shape == values.shape
+    assert m.values.tobytes() == np.ascontiguousarray(values).tobytes()
+    assert m.row_ids == row_ids and m.col_ids == col_ids
 
 
 def test_dataset_validation():
