@@ -21,7 +21,6 @@ from .core import (
     Ranks,
     SJiveModel,
     fit,
-    initialize,
     objective,
     rescale_identifiable,
 )
@@ -58,7 +57,6 @@ from .selection import (
     DEFAULT_ETA_GRID,
     CvPlan,
     SelectionTrace,
-    cv_mse,
     make_cv_plan,
     select_eta,
     select_model,
@@ -94,7 +92,6 @@ __all__ = [
     "baseline_predict",
     "component_inference",
     "compress",
-    "cv_mse",
     "decompress_loadings",
     "destandardize_outcome",
     "eigen_signal_report",
@@ -104,7 +101,6 @@ __all__ = [
     "fit_jive_predict",
     "fit_pca_regression",
     "generate",
-    "initialize",
     "load_csv",
     "load_model",
     "load_truth",

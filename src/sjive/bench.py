@@ -25,6 +25,10 @@ from .simulate import SimConfig, eigen_signal_report, generate, train_test_split
 
 DEFAULT_METHODS = ("sjive", "jive_predict", "concat_pca", "individual_pca")
 
+# Weights tried by ``eta="cv"``: a coarser grid than the CLI's, since every
+# replicate runs its own search.
+CV_ETA_GRID = (0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
+
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -63,7 +67,6 @@ def run_replicate(
     methods=DEFAULT_METHODS,
     max_iter: int = 1000,
     tol: float = 1e-6,
-    eta_grid=(0.05, 0.25, 0.5, 0.75, 0.95, 0.99),
 ) -> ReplicateResult:
     """One replicate: train on the first n samples, test on n_test more.
 
@@ -84,7 +87,7 @@ def run_replicate(
     if "sjive" in methods:
         if eta == "cv":
             plan = make_cv_plan(train_x.n, seed=total_cfg.seed)
-            eta_val, _ = select_eta(train_x, train_y, ranks, eta_grid, plan)
+            eta_val, _ = select_eta(train_x, train_y, ranks, CV_ETA_GRID, plan)
         else:
             eta_val = float(eta)
         eta_used = eta_val

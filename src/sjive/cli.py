@@ -122,40 +122,39 @@ def _fold_trace_rows(trace):
     return header, rows
 
 
-def _cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def _ranks_text(ranks: Ranks) -> str:
+    return ",".join(str(r) for r in (ranks.joint, *ranks.individual))
+
+
+def _load_and_score(args):
+    """Model, new data standardized with its training moments, and scores."""
+    model, _ = load_model(args.model)
+    raw = _load_dataset(args.x, samples_in_rows=args.samples_as_rows)
+    data = standardize_with(raw, model.block_scalers) if model.block_scalers else raw
+    return model, data, estimate_scores(model, data)
+
+
+def _cmd_simulate(args, outdir):
     cfg, _ = _read_sim_config(args.config)
     if args.seed is not None:
         cfg = SimConfig(**{**cfg.__dict__, "seed": args.seed})
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     data, y, truth = generate(cfg)
     for i, block in enumerate(data.blocks):
         write_csv(outdir / f"X{i + 1}.csv", block, data.variable_ids[i], data.sample_ids)
     write_csv(outdir / "y.csv", y.values[None, :], ["y"], data.sample_ids)
     save_truth(truth, outdir / "truth.zip")
-    _write_manifest(
-        outdir,
-        "simulate",
-        {**{k: v for k, v in cfg.__dict__.items()}, "outputs": "X*.csv, y.csv, truth.zip"},
-        cfg.seed,
-        time.perf_counter() - t0,
-    )
-    print(f"wrote {cfg.k} blocks, outcome and truth archive to {outdir}")
-    return 0
+    params = {**cfg.__dict__, "outputs": "X*.csv, y.csv, truth.zip"}
+    return params, cfg.seed, f"wrote {cfg.k} blocks, outcome and truth archive to {outdir}"
 
 
-def _cmd_fit(args) -> int:
-    t0 = time.perf_counter()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_fit(args, outdir):
     raw = _load_dataset(args.x, samples_in_rows=args.samples_as_rows)
     y_raw, y_ids = _load_outcome(args.y, samples_in_rows=args.samples_as_rows)
     if y_ids != raw.sample_ids:
         raise ParseError("outcome sample ids do not match the block sample ids")
     policy = "drop" if args.drop_constant else "error"
     data, y = standardize(raw, y_raw, policy=policy)
-    compress = False if args.no_compress else "auto"
+    compress = not args.no_compress
     if args.ranks == "auto" or args.eta == "auto":
         plan = make_cv_plan(data.n, seed=args.seed)
         if args.ranks == "auto" and args.eta == "auto":
@@ -183,42 +182,30 @@ def _cmd_fit(args) -> int:
         for i, sc in enumerate(data.standardization or [])
         if sc.dropped_ids
     ]
-    _write_manifest(
-        outdir,
-        "fit",
-        {
-            "x": ";".join(args.x),
-            "y": args.y,
-            "eta": eta,
-            "ranks": f"{ranks.joint},{','.join(map(str, ranks.individual))}",
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "compress": compress,
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "final_objective": repr(report.final_objective),
-            "dropped_variables": ";".join(dropped) if dropped else "none",
-        },
-        args.seed,
-        time.perf_counter() - t0,
-    )
-    print(
-        f"fit eta={eta:g} ranks=({ranks.joint},{','.join(map(str, ranks.individual))}) "
+    params = {
+        "x": ";".join(args.x),
+        "y": args.y,
+        "eta": eta,
+        "ranks": _ranks_text(ranks),
+        "tol": args.tol,
+        "max_iter": args.max_iter,
+        "compress": "auto" if compress else False,
+        "converged": report.converged,
+        "iterations": report.iterations,
+        "final_objective": repr(report.final_objective),
+        "dropped_variables": ";".join(dropped) if dropped else "none",
+    }
+    summary = (
+        f"fit eta={eta:g} ranks=({_ranks_text(ranks)}) "
         f"objective={report.final_objective:.6g} "
         f"{'converged' if report.converged else 'NOT converged'} "
         f"after {report.iterations} iterations -> {outdir / 'model.zip'}"
     )
-    return 0
+    return params, args.seed, summary
 
 
-def _cmd_predict(args) -> int:
-    t0 = time.perf_counter()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    model, _ = load_model(args.model)
-    raw = _load_dataset(args.x, samples_in_rows=args.samples_as_rows)
-    data = standardize_with(raw, model.block_scalers) if model.block_scalers else raw
-    est = estimate_scores(model, data)
+def _cmd_predict(args, outdir):
+    model, data, est = _load_and_score(args)
     yhat = predict(model, est)
     contrib = [model.theta_joint @ est.joint_scores]
     contrib += [th @ s for th, s in zip(model.theta_indiv, est.indiv_scores)]
@@ -229,22 +216,12 @@ def _cmd_predict(args) -> int:
     for j, sid in enumerate(data.sample_ids):
         rows.append([sid, repr(float(yhat[j])), *(repr(float(c[j])) for c in contrib)])
     _write_rows(outdir / "predictions.csv", header, rows)
-    _write_manifest(
-        outdir,
-        "predict",
-        {"model": args.model, "x": ";".join(args.x), "n_predicted": data.n,
-         "score_iterations": est.iterations, "score_converged": est.converged},
-        "n/a",
-        time.perf_counter() - t0,
-    )
-    print(f"wrote predictions for {data.n} samples to {outdir / 'predictions.csv'}")
-    return 0
+    params = {"model": args.model, "x": ";".join(args.x), "n_predicted": data.n,
+              "score_iterations": est.iterations, "score_converged": est.converged}
+    return params, "n/a", f"wrote predictions for {data.n} samples to {outdir / 'predictions.csv'}"
 
 
-def _cmd_select(args) -> int:
-    t0 = time.perf_counter()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_select(args, outdir):
     raw = _load_dataset(args.x, samples_in_rows=args.samples_as_rows)
     y_raw, _ = _load_outcome(args.y, samples_in_rows=args.samples_as_rows)
     plan = make_cv_plan(raw.n, seed=args.seed)
@@ -253,9 +230,8 @@ def _cmd_select(args) -> int:
         if args.eta_grid
         else DEFAULT_ETA_GRID
     )
-    compress = False if args.no_compress else "auto"
     eta, ranks, rank_trace, eta_trace = select_model(
-        raw, y_raw, plan, eta_grid=grid, iterate=args.iterate, compress=compress,
+        raw, y_raw, plan, eta_grid=grid, iterate=args.iterate, compress=not args.no_compress,
         policy="drop" if args.drop_constant else "error",
     )
     header, rows = _fold_trace_rows(rank_trace)
@@ -267,29 +243,15 @@ def _cmd_select(args) -> int:
         ["eta", "rank_joint", *(f"rank_block{i + 1}" for i in range(raw.k))],
         [[eta, ranks.joint, *ranks.individual]],
     )
-    _write_manifest(
-        outdir,
-        "select",
-        {"x": ";".join(args.x), "y": args.y, "eta": eta,
-         "ranks": f"{ranks.joint},{','.join(map(str, ranks.individual))}",
-         "eta_grid": ",".join(f"{g:g}" for g in grid)},
-        args.seed,
-        time.perf_counter() - t0,
-    )
-    print(
-        f"selected eta={eta:g}, ranks=({ranks.joint},"
-        f"{','.join(map(str, ranks.individual))}) -> {outdir}"
-    )
-    return 0
+    params = {"x": ";".join(args.x), "y": args.y, "eta": eta, "ranks": _ranks_text(ranks),
+              "eta_grid": ",".join(f"{g:g}" for g in grid)}
+    return params, args.seed, f"selected eta={eta:g}, ranks=({_ranks_text(ranks)}) -> {outdir}"
 
 
-def _cmd_benchmark(args) -> int:
+def _cmd_benchmark(args, outdir):
     # Imported here so fit and predict do not load the process-pool modules.
     from .bench import run_benchmark
 
-    t0 = time.perf_counter()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     sim_cfg, n_test = _read_sim_config(args.config)
     if args.seed is not None:
         sim_cfg = SimConfig(**{**sim_cfg.__dict__, "seed": args.seed})
@@ -323,29 +285,16 @@ def _cmd_benchmark(args) -> int:
             for r in result.replicates
         ],
     )
-    _write_manifest(
-        outdir,
-        "benchmark",
-        {**sim_cfg.__dict__, "n_test": n_test, "reps": args.reps, "eta": args.eta,
-         "threads": args.threads,
-         "unconverged_fits": sum(r.unconverged for r in result.replicates)},
-        sim_cfg.seed,
-        time.perf_counter() - t0,
-    )
-    print(f"benchmark over {args.reps} replicates -> {outdir / 'summary.csv'}")
-    for m in result.methods:
-        print(f"  {m}: mean test MSE {means[m]:.4f}, wins {wins[m]:.0f}%")
-    return 0
+    params = {**sim_cfg.__dict__, "n_test": n_test, "reps": args.reps, "eta": args.eta,
+              "threads": args.threads,
+              "unconverged_fits": sum(r.unconverged for r in result.replicates)}
+    summary = [f"benchmark over {args.reps} replicates -> {outdir / 'summary.csv'}"]
+    summary += [f"  {m}: mean test MSE {means[m]:.4f}, wins {wins[m]:.0f}%" for m in result.methods]
+    return params, sim_cfg.seed, "\n".join(summary)
 
 
-def _cmd_evaluate(args) -> int:
-    t0 = time.perf_counter()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    model, _ = load_model(args.model)
-    raw = _load_dataset(args.x, samples_in_rows=args.samples_as_rows)
-    data = standardize_with(raw, model.block_scalers) if model.block_scalers else raw
-    est = estimate_scores(model, data)
+def _cmd_evaluate(args, outdir):
+    model, data, est = _load_and_score(args)
     yhat_raw = predict(model, est)
     outputs = {}
     if args.y:
@@ -407,16 +356,9 @@ def _cmd_evaluate(args) -> int:
                 [f"block{i + 1}", repr(recovery_error(indiv[i], truth.indiv_structure[i]))]
             )
         _write_rows(outdir / "recovery.csv", ["component", "recovery_error"], rows)
-    _write_manifest(
-        outdir,
-        "evaluate",
-        {"model": args.model, "x": ";".join(args.x), "y": args.y or "none",
-         "truth": args.truth or "none", **outputs},
-        "n/a",
-        time.perf_counter() - t0,
-    )
-    print(f"evaluation written to {outdir}")
-    return 0
+    params = {"model": args.model, "x": ";".join(args.x), "y": args.y or "none",
+              "truth": args.truth or "none", **outputs}
+    return params, "n/a", f"evaluation written to {outdir}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -428,9 +370,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="random seed recorded in outputs")
         p.add_argument("--samples-as-rows", action="store_true",
                        help="input CSVs store samples as rows")
+
+    def add_cv_seed(p):
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of the cross-validation folds, recorded in outputs")
 
     p_sim = sub.add_parser("simulate", help="generate synthetic blocks, outcome and truth")
     p_sim.add_argument("--config", required=True)
@@ -452,6 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--no-compress", action="store_true",
                        help="disable the tall-block SVD compression")
     add_common(p_fit)
+    add_cv_seed(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_pred = sub.add_parser("predict", help="predict outcomes for new samples")
@@ -472,6 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="drop zero-variance variables instead of erroring")
     p_sel.add_argument("--no-compress", action="store_true")
     add_common(p_sel)
+    add_cv_seed(p_sel)
     p_sel.set_defaults(func=_cmd_select)
 
     p_bench = sub.add_parser("benchmark", help="replicated method comparison on generated data")
@@ -497,16 +444,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. Each ``_cmd_*`` writes its outputs into ``--out``
+    and returns (manifest parameters, seed, summary line); errors in the
+    inputs or files exit with code 2."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SJiveError as exc:
+        t0 = time.perf_counter()
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        params, seed, summary = args.func(args, outdir)
+        _write_manifest(outdir, args.command, params, seed, time.perf_counter() - t0)
+        print(summary)
+    except (SJiveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0
 
 
 if __name__ == "__main__":

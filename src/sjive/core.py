@@ -22,14 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (
-    BlockScaler,
-    MultiSourceDataset,
-    Outcome,
-    OutcomeScaler,
-    compress_dataset,
-    decompress_loadings,
-)
+from . import data as _data
+from .data import BlockScaler, MultiSourceDataset, Outcome, OutcomeScaler, decompress_loadings
 from .errors import ConfigError, DegeneracyError, RankError, ShapeError, SJiveError
 from .linalg import rank_mask, regress_on_rows, top_svd, unit_frame
 
@@ -179,14 +173,6 @@ def _truncated_left_scores(m: np.ndarray, r: int):
     return u, s[:, None] * vt, vt[rank_mask(s)].T
 
 
-def _block_offsets(p: tuple[int, ...]):
-    offsets, a = [], 0
-    for pi in p:
-        offsets.append((a, a + pi))
-        a += pi
-    return offsets
-
-
 def _zero_state(offsets, n):
     """Individual parts (F, S, ind_x, y_ind) of rank zero."""
     F = [np.zeros((b - a + 1, 0)) for a, b in offsets]
@@ -252,38 +238,25 @@ def _als(stacked, xt, yt, offsets, ranks: Ranks, max_iter: int, tol: float):
     return L, S_J, F, S, trace, iterations, converged
 
 
-def _regress_outcome_on_scores(yvals, S_J, S_list):
-    """Least squares of y on the stacked score rows (no intercept)."""
-    theta = regress_on_rows(np.vstack([S_J, *S_list]), yvals)
-    r_j = S_J.shape[0]
-    th1 = theta[:r_j]
-    th2, pos = [], r_j
-    for s in S_list:
-        th2.append(theta[pos : pos + s.shape[0]])
-        pos += s.shape[0]
-    return th1, th2
-
-
-def _build_model(L, S_J, F, S, eta, yvals, ranks, cbs, data, yscaler, with_theta):
-    offsets = _block_offsets(tuple(cb.scores.shape[0] if cb else b.shape[0]
-                                   for cb, b in zip(cbs, data.blocks)))
-    rt_eta = np.sqrt(eta)
+def _build_model(L, S_J, F, S, cfg: FitConfig, offsets, cbs, yvals, data, yscaler):
+    rt_eta = np.sqrt(cfg.eta)
     U = [L[a:b] / rt_eta for a, b in offsets]
-    W = [F[i][:-1] / rt_eta for i in range(len(F))]
+    W = [f[:-1] / rt_eta for f in F]
     for i, cb in enumerate(cbs):
         if cb is not None:
             U[i] = decompress_loadings(cb, U[i])
             W[i] = decompress_loadings(cb, W[i])
-    if not with_theta:
+    if yvals is None:
         th1, th2 = None, None
-    elif eta < 1.0:
-        rt = np.sqrt(1.0 - eta)
+    elif cfg.eta < 1.0:
+        rt = np.sqrt(1.0 - cfg.eta)
         th1 = L[-1] / rt
-        th2 = [F[i][-1] / rt for i in range(len(F))]
+        th2 = [f[-1] / rt for f in F]
     else:
         # With all weight on X the outcome row is zero inside the loop, so
         # the coefficients come from a post-hoc regression on the scores.
-        th1, th2 = _regress_outcome_on_scores(yvals, S_J, S)
+        theta = regress_on_rows(np.vstack([S_J, *S]), yvals)
+        th1, *th2 = np.split(theta, np.cumsum([S_J.shape[0], *(s.shape[0] for s in S)])[:-1])
     return SJiveModel(
         joint_loadings=U,
         joint_scores=S_J.copy(),
@@ -291,8 +264,8 @@ def _build_model(L, S_J, F, S, eta, yvals, ranks, cbs, data, yscaler, with_theta
         indiv_scores=[s.copy() for s in S],
         theta_joint=th1,
         theta_indiv=th2,
-        eta=eta,
-        ranks=ranks,
+        eta=cfg.eta,
+        ranks=cfg.ranks,
         block_scalers=data.standardization,
         outcome_scaler=yscaler,
         variable_ids=[list(v) for v in data.variable_ids],
@@ -335,7 +308,18 @@ def objective(data, y, model: SJiveModel) -> float:
     return total
 
 
-def _prepare(data, y, cfg: FitConfig, compress):
+def fit(data, y, cfg: FitConfig, compress=True):
+    """Fit the decomposition by alternating exact block updates.
+
+    While ``compress`` is on (any value but False; "auto" means the same),
+    each block with more variables than samples is replaced during the
+    iterations by its SVD score representation, and the result is mapped
+    back to variable space (equivalent up to floating point). Blocks with
+    no more variables than samples are never compressed.
+    Returns (model, report); ``report.converged`` is False when the
+    iteration budget ran out, in which case the best model so far is
+    returned.
+    """
     data = _as_dataset(data)
     yvals, yscaler = _outcome_values(y)
     if yvals is None and cfg.eta < 1.0:
@@ -348,59 +332,30 @@ def _prepare(data, y, cfg: FitConfig, compress):
         ):
             raise DegeneracyError("outcome is constant; fit is undefined")
     cfg.ranks.validate_for(data.p, data.n)
-    work, cbs = compress_dataset(data, compress)
-    xt = np.vstack(work.blocks) * np.sqrt(cfg.eta)
+    # Looked up on the module at call time, so a wrapped data.compress sees
+    # every call.
+    cbs = [_data.compress(b) if compress is not False and b.shape[0] > b.shape[1] else None
+           for b in data.blocks]
+    work = [b if cb is None else cb.scores for b, cb in zip(data.blocks, cbs)]
+    edges = np.cumsum([0, *(b.shape[0] for b in work)])
+    offsets = list(zip(edges[:-1], edges[1:]))
+    xt = np.vstack(work) * np.sqrt(cfg.eta)
     if yvals is not None and cfg.eta < 1.0:
         yt = yvals * np.sqrt(1.0 - cfg.eta)
     else:
         yt = np.zeros(data.n)
     stacked = np.vstack([xt, yt[None, :]])
-    offsets = _block_offsets(work.p)
-    return data, yvals, yscaler, work, cbs, xt, yt, stacked, offsets
-
-
-def initialize(data, y, cfg: FitConfig, compress="auto") -> SJiveModel:
-    """Starting model: joint part from one SVD of the weighted stacked data,
-    individual parts from the projected block residuals."""
-    data, yvals, yscaler, work, cbs, xt, yt, stacked, offsets = _prepare(
-        data, y, cfg, compress
-    )
-    F, S, ind_x, y_ind = _zero_state(offsets, data.n)
-    L, S_J, _ = _sweep(stacked, xt, yt, offsets, cfg.ranks, F, S, ind_x, y_ind)
-    return _build_model(
-        L, S_J, F, S, cfg.eta, yvals, cfg.ranks, cbs, data, yscaler,
-        with_theta=(cfg.eta < 1.0),
-    )
-
-
-def fit(data, y, cfg: FitConfig, compress="auto"):
-    """Fit the decomposition by alternating exact block updates.
-
-    ``compress="auto"`` replaces any block with more variables than samples
-    by its SVD score representation during the iterations (the result is
-    mapped back to variable space and is equivalent up to floating point).
-    Returns (model, report); ``report.converged`` is False when the
-    iteration budget ran out, in which case the best model so far is
-    returned.
-    """
-    data, yvals, yscaler, work, cbs, xt, yt, stacked, offsets = _prepare(
-        data, y, cfg, compress
-    )
     L, S_J, F, S, trace, iterations, converged = _als(
         stacked, xt, yt, offsets, cfg.ranks, cfg.max_iter, cfg.tol
     )
-    model = _build_model(
-        L, S_J, F, S, cfg.eta, yvals, cfg.ranks, cbs, data, yscaler,
-        with_theta=(yvals is not None),
-    )
-    model = rescale_identifiable(model)
+    model = _build_model(L, S_J, F, S, cfg, offsets, cbs, yvals, data, yscaler)
     report = FitReport(
         objective_trace=trace,
         iterations=iterations,
         converged=converged,
         final_objective=trace[-1],
     )
-    return model, report
+    return rescale_identifiable(model), report
 
 
 def rescale_identifiable(model: SJiveModel) -> SJiveModel:

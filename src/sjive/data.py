@@ -427,33 +427,3 @@ def decompress_loadings(cb: CompressedBlock, compressed_loadings) -> np.ndarray:
         )
     return cb.back_map @ arr
 
-
-def compress_dataset(data: MultiSourceDataset, mode="auto"):
-    """Compress blocks per ``mode`` (True, False or "auto" = only when p > n).
-
-    Returns (working dataset, per-block CompressedBlock or None).
-    """
-    if mode is False:
-        return data, [None] * data.k
-    cbs: list[CompressedBlock | None] = []
-    new_blocks, new_ids = [], []
-    for i, block in enumerate(data.blocks):
-        # Compression pays off once a block is taller than it is wide.
-        if mode is True or block.shape[0] > block.shape[1]:
-            cb = compress(block)
-            cbs.append(cb)
-            new_blocks.append(cb.scores)
-            new_ids.append([f"b{i + 1}_c{r + 1}" for r in range(cb.scores.shape[0])])
-        else:
-            cbs.append(None)
-            new_blocks.append(block)
-            new_ids.append(list(data.variable_ids[i]))
-    if all(cb is None for cb in cbs):
-        return data, cbs
-    work = MultiSourceDataset(
-        blocks=new_blocks,
-        sample_ids=list(data.sample_ids),
-        variable_ids=new_ids,
-        standardization=None,
-    )
-    return work, cbs

@@ -72,9 +72,10 @@ def estimate_scores(model: SJiveModel, new_data) -> ScoreEstimate:
         rhs[:r_j] += u.T @ x
         rhs[a:b] = w.T @ x
     scores = np.linalg.pinv(gram, rcond=RANK_TOL, hermitian=True) @ rhs
+    joint, *indiv = np.split(scores, edges[1:-1])
     return ScoreEstimate(
-        joint_scores=scores[:r_j],
-        indiv_scores=[scores[edges[i + 1]:edges[i + 2]] for i in range(model.k)],
+        joint_scores=joint,
+        indiv_scores=indiv,
         iterations=1,
         converged=True,
     )

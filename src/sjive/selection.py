@@ -30,6 +30,9 @@ from .predict import estimate_scores, predict
 # An increment must beat the incumbent mean CV MSE by this much to count.
 IMPROVEMENT_THRESHOLD = 1e-4
 
+# Weight at which select_model searches the ranks before searching the weight.
+RANK_ETA = 0.5
+
 DEFAULT_ETA_GRID = (0.01, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40,
                     0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85,
                     0.90, 0.95, 0.99)
@@ -78,7 +81,7 @@ def cv_fold_mses(
     y: Outcome,
     cfg: FitConfig,
     plan: CvPlan,
-    compress="auto",
+    compress=True,
     policy: str = "error",
     reports: list | None = None,
 ) -> np.ndarray:
@@ -114,11 +117,6 @@ def cv_fold_mses(
     return mses
 
 
-def cv_mse(data, y, cfg: FitConfig, plan: CvPlan, compress="auto") -> float:
-    """Mean over folds of the standardized-scale test MSE."""
-    return float(np.mean(cv_fold_mses(data, y, cfg, plan, compress=compress)))
-
-
 def _warn_unconverged(reports: list) -> None:
     count = sum(not r.converged for r in reports)
     if count:
@@ -136,7 +134,7 @@ def select_eta(
     ranks: Ranks,
     grid=DEFAULT_ETA_GRID,
     plan: CvPlan | None = None,
-    compress="auto",
+    compress=True,
     max_iter: int = 1000,
     tol: float = 1e-6,
     policy: str = "error",
@@ -191,10 +189,9 @@ def select_ranks(
     y: Outcome,
     eta: float,
     plan: CvPlan | None = None,
-    compress="auto",
+    compress=True,
     max_iter: int = 1000,
     tol: float = 1e-6,
-    improvement: float = IMPROVEMENT_THRESHOLD,
     policy: str = "error",
     reports: list | None = None,
 ):
@@ -229,7 +226,7 @@ def select_ranks(
         if best_step is None:
             break
         mean, label, cand = best_step
-        if mean < best_mse - improvement:
+        if mean < best_mse - IMPROVEMENT_THRESHOLD:
             ranks = cand
             best_mse = mean
             trace.steps.append(
@@ -252,9 +249,8 @@ def select_model(
     y: Outcome,
     plan: CvPlan | None = None,
     eta_grid=DEFAULT_ETA_GRID,
-    rank_eta: float = 0.5,
     iterate: bool = False,
-    compress="auto",
+    compress=True,
     policy: str = "error",
 ):
     """Full selection pipeline: ranks at a fixed weight, then the weight at
@@ -264,12 +260,12 @@ def select_model(
         plan = make_cv_plan(data.n, seed=0)
     reports: list = []
     common = dict(compress=compress, policy=policy, reports=reports)
-    ranks, rank_trace = select_ranks(data, y, rank_eta, plan, **common)
+    ranks, rank_trace = select_ranks(data, y, RANK_ETA, plan, **common)
     if ranks.total == 0:
-        eta, eta_trace = rank_eta, SelectionTrace(chosen="skipped: all ranks zero")
+        eta, eta_trace = RANK_ETA, SelectionTrace(chosen="skipped: all ranks zero")
     else:
         eta, eta_trace = select_eta(data, y, ranks, eta_grid, plan, **common)
-        if iterate and eta != rank_eta:
+        if iterate and eta != RANK_ETA:
             ranks, rank_trace = select_ranks(data, y, eta, plan, **common)
             if ranks.total > 0:
                 eta, eta_trace = select_eta(data, y, ranks, eta_grid, plan, **common)

@@ -136,6 +136,16 @@ def test_fit_reproducible_outputs(simdir, tmp_path):
     assert (p1 / "predictions.csv").read_bytes() == (p2 / "predictions.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_seed_rejected_where_nothing_is_seeded(simdir, tmp_path, command):
+    _, out = simdir
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", str(tmp_path / "model.zip"), "--x", str(out / "X1.csv"),
+              "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_benchmark_command(simdir, tmp_path):
     cfg, _ = simdir
     bdir = tmp_path / "bench"

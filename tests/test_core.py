@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sjive.core import FitConfig, Ranks, SJiveModel, fit, initialize, objective, rescale_identifiable
+import sjive.data
+from sjive.core import FitConfig, Ranks, SJiveModel, fit, objective, rescale_identifiable
 from sjive.errors import ConfigError, DegeneracyError, RankError
 from sjive.simulate import SimConfig, generate
 
@@ -88,41 +89,68 @@ def test_objective_matches_scalar_loop_oracle():
     assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_initialize_rank_zero_everything():
+def test_fit_rank_zero_everything():
     rng = np.random.default_rng(4)
     blocks = [rng.normal(size=(5, 7))]
     y = rng.normal(size=7)
     cfg = FitConfig(eta=0.6, ranks=Ranks(0, (0,)))
-    model = initialize(blocks, y, cfg)
+    model, _ = fit(blocks, y, cfg)
     assert model.joint_scores.shape == (0, 7)
     expected = 0.6 * np.sum(blocks[0] ** 2) + 0.4 * np.sum(y * y)
     assert objective(blocks, y, model) == pytest.approx(expected, rel=1e-14)
 
 
-def test_initialize_noiseless_captures_most_signal():
+def test_fit_initial_sweep_captures_most_signal():
     # The top stacked direction mixes joint and individual signal (the
-    # generator's positive loading drafts overlap), so the one-pass
+    # generator's positive loading drafts overlap), so the one-sweep
     # initializer is not exact; it still removes ~98.5% of the objective,
     # measured over seeds 0..7. The fit itself converges to ~0 afterwards.
+    # objective_trace[0] is the objective after that first sweep.
     cfg = SimConfig(k=2, p=(20, 15), n=25, rank_joint=1, rank_indiv=(1, 1), seed=5)
     data, y, truth = generate(cfg)
     fc = FitConfig(eta=0.5, ranks=Ranks(1, (1, 1)))
-    model = initialize(data, y, fc)
+    _, report = fit(data, y, fc)
     baseline = 0.5 * sum(np.sum(b * b) for b in data.blocks) + 0.5 * np.sum(y.values**2)
-    assert objective(data, y, model) < 0.05 * baseline
+    assert report.objective_trace[0] < 0.05 * baseline
 
 
-def test_initialize_eta_one_ignores_outcome():
+def test_fit_eta_one_ignores_outcome():
     rng = np.random.default_rng(6)
     blocks = [rng.normal(size=(6, 9)), rng.normal(size=(4, 9))]
     y1 = rng.normal(size=9)
     y2 = y1 + rng.normal(size=9)
     cfg = FitConfig(eta=1.0, ranks=Ranks(1, (1, 1)))
-    m1 = initialize(blocks, y1, cfg)
-    m2 = initialize(blocks, y2, cfg)
+    m1, _ = fit(blocks, y1, cfg)
+    m2, _ = fit(blocks, y2, cfg)
     for a, b in zip(m1.joint_loadings, m2.joint_loadings):
         assert np.array_equal(a, b)
     assert np.array_equal(m1.joint_scores, m2.joint_scores)
+
+
+@pytest.mark.parametrize("p", [(30, 8), (30, 12, 40)])
+def test_fit_compresses_each_tall_block_once(monkeypatch, p):
+    # n = 12: blocks with more variables than samples are compressed, one
+    # call each; wide and square blocks never, and nothing with compress=False.
+    n = 12
+    rng = np.random.default_rng(11)
+    blocks = [rng.normal(size=(pi, n)) for pi in p]
+    y = rng.normal(size=n)
+    cfg = FitConfig(eta=0.5, ranks=Ranks(1, (1,) * len(p)), max_iter=5)
+    original = sjive.data.compress
+    seen = []
+
+    def counting(block):
+        seen.append(block.shape)
+        return original(block)
+
+    monkeypatch.setattr(sjive.data, "compress", counting)
+    for compress in (True, "auto"):
+        seen.clear()
+        fit(blocks, y, cfg, compress=compress)
+        assert seen == [(pi, n) for pi in p if pi > n]
+    seen.clear()
+    fit(blocks, y, cfg, compress=False)
+    assert seen == []
 
 
 def test_fit_eta_one_matches_reference_decomposition():

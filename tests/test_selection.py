@@ -11,7 +11,6 @@ from sjive.data import MultiSourceDataset, Outcome
 from sjive.errors import ConfigError, DegeneracyError, RankError
 from sjive.selection import (
     cv_fold_mses,
-    cv_mse,
     make_cv_plan,
     select_eta,
     select_model,
@@ -52,7 +51,7 @@ def test_cv_mse_rank_zero_near_one(small_noisy):
     data, y = small_noisy
     plan = make_cv_plan(data.n, seed=1)
     cfg = FitConfig(eta=0.5, ranks=Ranks(0, (0, 0)))
-    mse = cv_mse(data, y, cfg, plan)
+    mse = np.mean(cv_fold_mses(data, y, cfg, plan))
     assert 0.7 < mse < 1.4
 
 
@@ -61,15 +60,15 @@ def test_cv_mse_noiseless_low():
     data, y, _ = generate(cfg)
     plan = make_cv_plan(data.n, seed=2)
     cfg_fit = FitConfig(eta=0.5, ranks=Ranks(1, (1, 1)), tol=1e-9, max_iter=2000)
-    assert cv_mse(data, y, cfg_fit, plan) < 0.01
+    assert np.mean(cv_fold_mses(data, y, cfg_fit, plan)) < 0.01
 
 
 def test_cv_mse_deterministic(small_noisy):
     data, y = small_noisy
     plan = make_cv_plan(data.n, seed=3)
     cfg = FitConfig(eta=0.5, ranks=Ranks(1, (1, 1)))
-    a = cv_mse(data, y, cfg, plan)
-    b = cv_mse(data, y, cfg, plan)
+    a = np.mean(cv_fold_mses(data, y, cfg, plan))
+    b = np.mean(cv_fold_mses(data, y, cfg, plan))
     assert a == b
 
 
