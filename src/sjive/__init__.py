@@ -11,7 +11,6 @@ from .archive import load_model, load_truth, save_model, save_truth
 from .baselines import (
     BaselineModel,
     baseline_predict,
-    fit_jive,
     fit_jive_predict,
     fit_pca_regression,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "eigen_signal_report",
     "estimate_scores",
     "fit",
-    "fit_jive",
     "fit_jive_predict",
     "fit_pca_regression",
     "generate",

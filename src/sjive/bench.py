@@ -71,8 +71,10 @@ def run_replicate(
     """One replicate: train on the first n samples, test on n_test more.
 
     ``eta="cv"`` selects the weight per replicate by 5-fold CV on the
-    training half; a float uses that fixed weight. Baseline PCA ranks equal
-    the generating total rank.
+    training half, its fold fits bounded by ``max_iter`` and ``tol`` like
+    the final ones; a float uses that fixed weight. sJIVE and JIVE.pred (the
+    fit at eta = 1) are scored the same way. Baseline PCA ranks equal the
+    generating total rank.
     """
     if n_test is None:
         n_test = sim_cfg.n
@@ -84,33 +86,30 @@ def run_replicate(
     mses: dict[str, float] = {}
     eta_used = float("nan")
     unconverged = 0
+    fits = {}
+    cfg = FitConfig(eta=1.0, ranks=ranks, max_iter=max_iter, tol=tol)
     if "sjive" in methods:
         if eta == "cv":
             plan = make_cv_plan(train_x.n, seed=total_cfg.seed)
-            eta_val, _ = select_eta(train_x, train_y, ranks, CV_ETA_GRID, plan)
+            eta_used, _ = select_eta(train_x, train_y, ranks, CV_ETA_GRID, plan,
+                                     max_iter=max_iter, tol=tol)
         else:
-            eta_val = float(eta)
-        eta_used = eta_val
-        cfg = FitConfig(eta=eta_val, ranks=ranks, max_iter=max_iter, tol=tol)
-        model, report = fit(train_x, train_y, cfg)
+            eta_used = float(eta)
+        fits["sjive"] = fit(train_x, train_y, replace(cfg, eta=eta_used))
+    if "jive_predict" in methods:
+        fits["jive_predict"] = fit_jive_predict(train_x, train_y, ranks, cfg)
+    for method, (model, report) in fits.items():
         unconverged += not report.converged
         est = estimate_scores(model, test_x)
-        mses["sjive"] = test_mse(test_y.values, predict(model, est, standardized=True))
-    if "jive_predict" in methods:
-        cfg = FitConfig(eta=1.0, ranks=ranks, max_iter=max_iter, tol=tol)
-        bm = fit_jive_predict(train_x, train_y, ranks, cfg)
-        unconverged += not bm.converged
-        mses["jive_predict"] = test_mse(
-            test_y.values, baseline_predict(bm, test_x)
-        )
+        mses[method] = test_mse(test_y.values, predict(model, est, standardized=True))
     r_total = ranks.total
     if "concat_pca" in methods:
-        bm = fit_pca_regression(train_x, train_y, r_total, "concatenated")
+        bm = fit_pca_regression(train_x, train_y, r_total)
         mses["concat_pca"] = test_mse(test_y.values, baseline_predict(bm, test_x))
     if "individual_pca" in methods:
         for b in range(train_x.k):
             r_b = min(r_total, min(train_x.p[b], train_x.n))
-            bm = fit_pca_regression(train_x, train_y, r_b, "per_block", block=b)
+            bm = fit_pca_regression(train_x, train_y, r_b, block=b)
             mses[f"individual_pca_{b + 1}"] = test_mse(
                 test_y.values, baseline_predict(bm, test_x)
             )

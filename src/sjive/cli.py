@@ -157,15 +157,15 @@ def _cmd_fit(args, outdir):
     compress = not args.no_compress
     if args.ranks == "auto" or args.eta == "auto":
         plan = make_cv_plan(data.n, seed=args.seed)
+        common = dict(compress=compress, max_iter=args.max_iter, tol=args.tol, policy=policy)
         if args.ranks == "auto" and args.eta == "auto":
-            eta, ranks, *_ = select_model(raw, y_raw, plan, compress=compress, policy=policy)
+            eta, ranks, *_ = select_model(raw, y_raw, plan, **common)
         elif args.ranks == "auto":
             eta = float(args.eta)
-            ranks, _ = select_ranks(raw, y_raw, eta, plan, compress=compress, policy=policy)
+            ranks, _ = select_ranks(raw, y_raw, eta, plan, **common)
         else:
             ranks = _parse_ranks(args.ranks, data.k)
-            eta, _ = select_eta(raw, y_raw, ranks, DEFAULT_ETA_GRID, plan, compress=compress,
-                                policy=policy)
+            eta, _ = select_eta(raw, y_raw, ranks, DEFAULT_ETA_GRID, plan, **common)
     else:
         ranks = _parse_ranks(args.ranks, data.k)
         eta = float(args.eta)
@@ -206,16 +206,11 @@ def _cmd_fit(args, outdir):
 
 def _cmd_predict(args, outdir):
     model, data, est = _load_and_score(args)
-    yhat = predict(model, est)
-    contrib = [model.theta_joint @ est.joint_scores]
-    contrib += [th @ s for th, s in zip(model.theta_indiv, est.indiv_scores)]
-    header = ["sample_id", "predicted"] + ["contrib_joint"] + [
-        f"contrib_block{i + 1}" for i in range(model.k)
-    ]
-    rows = []
-    for j, sid in enumerate(data.sample_ids):
-        rows.append([sid, repr(float(yhat[j])), *(repr(float(c[j])) for c in contrib)])
-    _write_rows(outdir / "predictions.csv", header, rows)
+    columns = [predict(model, est), model.theta_joint @ est.joint_scores]
+    columns += [th @ s for th, s in zip(model.theta_indiv, est.indiv_scores)]
+    header = ["predicted", "contrib_joint"] + [f"contrib_block{i + 1}" for i in range(model.k)]
+    write_csv(outdir / "predictions.csv", np.column_stack(columns), data.sample_ids, header,
+              corner="sample_id")
     params = {"model": args.model, "x": ";".join(args.x), "n_predicted": data.n,
               "score_iterations": est.iterations, "score_converged": est.converged}
     return params, "n/a", f"wrote predictions for {data.n} samples to {outdir / 'predictions.csv'}"
@@ -299,20 +294,15 @@ def _cmd_evaluate(args, outdir):
     outputs = {}
     if args.y:
         y_raw, _ = _load_outcome(args.y, samples_in_rows=args.samples_as_rows)
-        _write_rows(
-            outdir / "predictions_scatter.csv",
-            ["sample_id", "y_true", "y_pred"],
-            [
-                [sid, repr(float(t)), repr(float(p))]
-                for sid, t, p in zip(data.sample_ids, y_raw.values, yhat_raw)
-            ],
-        )
         if model.outcome_scaler is not None:
             y_std = standardize_outcome_with(y_raw.values, model.outcome_scaler)
             yhat_std = predict(model, est, standardized=True)
         else:
             y_std, yhat_std = y_raw.values, yhat_raw
+        # Scored first, so an outcome of the wrong length writes no file.
         mse = test_mse(y_std, yhat_std)
+        write_csv(outdir / "predictions_scatter.csv", np.column_stack([y_raw.values, yhat_raw]),
+                  data.sample_ids, ["y_true", "y_pred"], corner="sample_id")
         _write_rows(outdir / "metrics.csv", ["metric", "value"],
                     [["test_mse_standardized", repr(mse)], ["n", data.n]])
         outputs["test_mse"] = f"{mse:.6g}"
@@ -326,36 +316,23 @@ def _cmd_evaluate(args, outdir):
                 ["component", "rank", "partial_r2", "f_stat", "p_value"],
                 rows,
             )
+    var_ids = model.variable_ids or [[f"v{j + 1}" for j in range(p)] for p in model.p]
     if model.theta_joint is not None:
         for i, m in enumerate(meta_loadings(model)):
-            ids = (
-                model.variable_ids[i]
-                if model.variable_ids
-                else [f"v{j + 1}" for j in range(m.size)]
-            )
-            _write_rows(
-                outdir / f"meta_loadings_block{i + 1}.csv",
-                ["variable_id", "meta_loading"],
-                [[vid, repr(float(v))] for vid, v in zip(ids, m)],
-            )
+            write_csv(outdir / f"meta_loadings_block{i + 1}.csv", m[:, None], var_ids[i],
+                      ["meta_loading"], corner="variable_id")
     train_ids = [f"s{j + 1}" for j in range(model.n)]
     joint, indiv = model.joint_structure(), model.individual_structure()
     for i in range(model.k):
-        ids = (
-            model.variable_ids[i]
-            if model.variable_ids
-            else [f"v{j + 1}" for j in range(joint[i].shape[0])]
-        )
-        write_csv(outdir / f"heatmap_joint_block{i + 1}.csv", joint[i], ids, train_ids)
-        write_csv(outdir / f"heatmap_indiv_block{i + 1}.csv", indiv[i], ids, train_ids)
+        write_csv(outdir / f"heatmap_joint_block{i + 1}.csv", joint[i], var_ids[i], train_ids)
+        write_csv(outdir / f"heatmap_indiv_block{i + 1}.csv", indiv[i], var_ids[i], train_ids)
     if args.truth:
         truth = load_truth(args.truth)
-        rows = [["joint", repr(recovery_error(np.vstack(joint), truth.stacked_joint()))]]
-        for i in range(model.k):
-            rows.append(
-                [f"block{i + 1}", repr(recovery_error(indiv[i], truth.indiv_structure[i]))]
-            )
-        _write_rows(outdir / "recovery.csv", ["component", "recovery_error"], rows)
+        errors = [recovery_error(np.vstack(joint), truth.stacked_joint())]
+        errors += [recovery_error(indiv[i], truth.indiv_structure[i]) for i in range(model.k)]
+        write_csv(outdir / "recovery.csv", np.array(errors)[:, None],
+                  ["joint", *(f"block{i + 1}" for i in range(model.k))], ["recovery_error"],
+                  corner="component")
     params = {"model": args.model, "x": ";".join(args.x), "y": args.y or "none",
               "truth": args.truth or "none", **outputs}
     return params, "n/a", f"evaluation written to {outdir}"

@@ -201,8 +201,16 @@ def _sweep(stacked, xt, yt, offsets, ranks: Ranks, F, S, ind_x, y_ind):
             xt[a:b] - L[a:b] @ S_J,
             (yt - L[-1] @ S_J - y_others)[None, :],
         ])
-        if V.shape[1]:
-            Ri -= (Ri @ V) @ V.T
+        if V.shape[1] == Ri.shape[1]:
+            Ri[:] = 0.0  # row(S_J) is every direction, so nothing is left outside it
+        elif V.shape[1]:
+            along = Ri @ V
+            Ri -= along @ V.T
+            # When the projection removed nearly everything, the remainder is
+            # mostly its rounding error, which lies along row(S_J); a second
+            # pass removes it ("twice is enough").
+            if np.linalg.norm(Ri) < 1e-3 * np.linalg.norm(along):
+                Ri -= (Ri @ V) @ V.T
         Fi, Si, _ = _truncated_left_scores(Ri, ranks.individual[i])
         F[i], S[i] = Fi, Si
         ind_x[i] = Fi[:-1] @ Si

@@ -96,12 +96,14 @@ def unit_frame(loadings: list, scores: np.ndarray, theta=None, theta_in_norm: bo
     left out of the norm. Returns (loadings, scores, theta), or None when
     the frame is all zero.
     """
-    nsq = sum(float(np.sum(u * u)) for u in loadings)
-    if theta is not None and theta_in_norm:
-        nsq += float(np.sum(theta * theta))
+    parts = [*loadings, theta] if theta is not None and theta_in_norm else loadings
+    nsq = sum(float(np.sum(u * u)) for u in parts)
     if nsq == 0.0:
         return None
     c = math.sqrt(nsq)
+    if math.isinf(c):  # squares overflow (loadings near 1e154): scale them first
+        big = max(float(np.abs(u).max(initial=0.0)) for u in parts)
+        c = big * math.sqrt(sum(float(np.sum((u / big) ** 2)) for u in parts))
     return [u / c for u in loadings], scores * c, None if theta is None else theta / c
 
 

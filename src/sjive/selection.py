@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import FitConfig, Ranks, fit
 from .data import MultiSourceDataset, Outcome, standardize, standardize_outcome_with, standardize_with
-from .errors import ConfigError, RankError
+from .errors import ConfigError, DegeneracyError, RankError
 from .metrics import test_mse
 from .predict import estimate_scores, predict
 
@@ -88,7 +88,9 @@ def cv_fold_mses(
     """Standardized-scale test MSE of each fold's held-out samples.
 
     ``policy`` is the zero-variance policy of each fold's standardization
-    (see ``standardize``). When ``reports`` is a list, every fold fit's
+    (see ``standardize``). A rank that does not fit a fold's training
+    samples, or a variable or outcome constant on them, raises an error
+    that names the fold. When ``reports`` is a list, every fold fit's
     FitReport is appended to it.
     """
     if plan.n != data.n:
@@ -105,7 +107,10 @@ def cv_fold_mses(
         train = data.subset_samples(train_idx)
         test = data.subset_samples(test_idx)
         y_train = Outcome(y.values[train_idx])
-        train_std, y_std = standardize(train, y_train, policy=policy)
+        try:
+            train_std, y_std = standardize(train, y_train, policy=policy)
+        except DegeneracyError as exc:
+            raise DegeneracyError(f"fold {f + 1} training samples: {exc}") from None
         test_std = standardize_with(test, train_std.standardization)
         y_test_std = standardize_outcome_with(y.values[test_idx], y_std.standardization)
         model, report = fit(train_std, y_std, cfg, compress=compress)
@@ -251,15 +256,18 @@ def select_model(
     eta_grid=DEFAULT_ETA_GRID,
     iterate: bool = False,
     compress=True,
+    max_iter: int = 1000,
+    tol: float = 1e-6,
     policy: str = "error",
 ):
     """Full selection pipeline: ranks at a fixed weight, then the weight at
     the chosen ranks; optionally one more rank pass at the chosen weight.
-    Unconverged fold fits of the whole pipeline share one RuntimeWarning."""
+    Every fold fit uses ``max_iter`` and ``tol``. Unconverged fold fits of
+    the whole pipeline share one RuntimeWarning."""
     if plan is None:
         plan = make_cv_plan(data.n, seed=0)
     reports: list = []
-    common = dict(compress=compress, policy=policy, reports=reports)
+    common = dict(compress=compress, max_iter=max_iter, tol=tol, policy=policy, reports=reports)
     ranks, rank_trace = select_ranks(data, y, RANK_ETA, plan, **common)
     if ranks.total == 0:
         eta, eta_trace = RANK_ETA, SelectionTrace(chosen="skipped: all ranks zero")

@@ -62,9 +62,7 @@ def test_model_roundtrip_with_standardization(tmp_path):
 
 def test_model_without_theta_roundtrip(fitted, tmp_path):
     data, *_ = fitted
-    from sjive.baselines import fit_jive
-
-    m, _ = fit_jive(data, Ranks(1, (1, 1)))
+    m, _ = fit(data, None, FitConfig(eta=1.0, ranks=Ranks(1, (1, 1))))
     path = tmp_path / "jive.zip"
     save_model(m, path)
     loaded, _ = load_model(path)

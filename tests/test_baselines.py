@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from sjive.baselines import (
-    baseline_predict,
-    baseline_training_fit,
-    fit_jive,
-    fit_jive_predict,
-    fit_pca_regression,
-)
+from sjive.baselines import baseline_predict, fit_jive_predict, fit_pca_regression
 from sjive.core import FitConfig, Ranks, fit
 from sjive.data import Outcome
 from sjive.errors import ConfigError, RankError
@@ -24,10 +18,11 @@ def noisy_data():
 
 
 def test_fit_jive_matches_eta_one_fit(noisy_data):
+    # The unsupervised decomposition is the fit at eta = 1 without an outcome.
     data, y, _ = noisy_data
     ranks = Ranks(1, (1, 1))
     cfg = FitConfig(eta=1.0, ranks=ranks, tol=1e-8)
-    m_jive, r_jive = fit_jive(data, ranks, cfg)
+    m_jive, r_jive = fit(data, None, cfg)
     m_full, r_full = fit(data, y, cfg)
     assert abs(r_jive.final_objective - r_full.final_objective) < 1e-10
     for a, b in zip(m_jive.joint_loadings, m_full.joint_loadings):
@@ -37,7 +32,7 @@ def test_fit_jive_matches_eta_one_fit(noisy_data):
 
 def test_fit_jive_orthogonality(noisy_data):
     data, _, _ = noisy_data
-    m, _ = fit_jive(data, Ranks(1, (1, 1)))
+    m, _ = fit(data, None, FitConfig(eta=1.0, ranks=Ranks(1, (1, 1))))
     for s in m.indiv_scores:
         assert np.abs(m.joint_scores @ s.T).max() < 1e-6
 
@@ -45,8 +40,7 @@ def test_fit_jive_orthogonality(noisy_data):
 def test_fit_jive_noiseless_recovery():
     cfg = SimConfig(k=2, p=(20, 18), n=30, rank_joint=1, rank_indiv=(1, 1), seed=91)
     data, _, truth = generate(cfg)
-    m, _ = fit_jive(data, Ranks(1, (1, 1)),
-                    FitConfig(eta=1.0, ranks=Ranks(1, (1, 1)), tol=1e-12, max_iter=4000))
+    m, _ = fit(data, None, FitConfig(eta=1.0, ranks=Ranks(1, (1, 1)), tol=1e-12, max_iter=4000))
     j_est = np.vstack([u @ m.joint_scores for u in m.joint_loadings])
     rel = np.sum((j_est - truth.stacked_joint()) ** 2) / np.sum(truth.stacked_joint() ** 2)
     assert rel < 1e-4
@@ -55,10 +49,10 @@ def test_fit_jive_noiseless_recovery():
 def test_jive_predict_exact_linear_outcome():
     cfg = SimConfig(k=2, p=(20, 18), n=30, rank_joint=1, rank_indiv=(1, 1), seed=92)
     data, y, _ = generate(cfg)  # noiseless in X and y
-    bm = fit_jive_predict(data, y, Ranks(1, (1, 1)),
-                          FitConfig(eta=1.0, ranks=Ranks(1, (1, 1)),
-                                    tol=1e-12, max_iter=4000))
-    yhat = baseline_training_fit(bm)
+    model, _ = fit_jive_predict(data, y, Ranks(1, (1, 1)),
+                                FitConfig(eta=1.0, ranks=Ranks(1, (1, 1)),
+                                          tol=1e-12, max_iter=4000))
+    yhat = model.fitted_outcome()
     assert mse_of(y.values, yhat) < 1e-8
 
 
@@ -72,8 +66,8 @@ def test_jive_predict_null_outcome_chance_level():
         data, _, _ = generate(cfg)
         y = Outcome(rng.standard_normal(50))  # unrelated to the blocks
         ystd = Outcome((y.values - y.values.mean()) / y.values.std(ddof=1))
-        bm = fit_jive_predict(data, ystd, Ranks(1, (1, 1)))
-        yhat = baseline_training_fit(bm)
+        model, _ = fit_jive_predict(data, ystd, Ranks(1, (1, 1)))
+        yhat = model.fitted_outcome()
         r2s.append(1.0 - np.sum((ystd.values - yhat) ** 2) / np.sum(ystd.values**2))
     chance = 3.0 / 50.0
     assert 0.0 <= np.mean(r2s) < 3.0 * chance
@@ -83,7 +77,7 @@ def test_concat_pca_matches_supervised_on_joint_only_data():
     cfg = SimConfig(k=2, p=(20, 20), n=60, rank_joint=1, rank_indiv=(0, 0), seed=93)
     data, y, _ = generate(cfg)
     tr_x, tr_y, te_x, te_y = train_test_split(data, y, 40)
-    bm = fit_pca_regression(tr_x, tr_y, 1, "concatenated")
+    bm = fit_pca_regression(tr_x, tr_y, 1)
     mse_pca = mse_of(te_y.values, baseline_predict(bm, te_x))
     model, _ = fit(tr_x, tr_y, FitConfig(eta=0.5, ranks=Ranks(1, (0, 0)),
                                          tol=1e-10, max_iter=2000))
@@ -97,8 +91,8 @@ def test_individual_pca_worse_than_concatenated():
                     x_err=0.5, y_err=0.05, seed=94)
     data, y, _ = generate(cfg)
     tr_x, tr_y, te_x, te_y = train_test_split(data, y, 60)
-    bm_cat = fit_pca_regression(tr_x, tr_y, 3, "concatenated")
-    bm_blk = fit_pca_regression(tr_x, tr_y, 3, "per_block", block=1)
+    bm_cat = fit_pca_regression(tr_x, tr_y, 3)
+    bm_blk = fit_pca_regression(tr_x, tr_y, 3, block=1)
     mse_cat = mse_of(te_y.values, baseline_predict(bm_cat, te_x))
     mse_blk = mse_of(te_y.values, baseline_predict(bm_blk, te_x))
     assert mse_blk > mse_cat
@@ -106,7 +100,7 @@ def test_individual_pca_worse_than_concatenated():
 
 def test_pca_rank_zero_is_mean_predictor(noisy_data):
     data, y, _ = noisy_data
-    bm = fit_pca_regression(data, y, 0, "concatenated")
+    bm = fit_pca_regression(data, y, 0)
     yhat = baseline_predict(bm, data)
     assert np.all(yhat == 0.0)
     assert mse_of(y.values, yhat) == pytest.approx(np.mean(y.values**2))
@@ -114,17 +108,16 @@ def test_pca_rank_zero_is_mean_predictor(noisy_data):
 
 def test_pca_argument_validation(noisy_data):
     data, y, _ = noisy_data
-    with pytest.raises(ConfigError):
-        fit_pca_regression(data, y, 1, "per_block")
-    with pytest.raises(ConfigError):
-        fit_pca_regression(data, y, 1, "bogus")
+    for block in (-1, 2):
+        with pytest.raises(ConfigError):
+            fit_pca_regression(data, y, 1, block=block)
     with pytest.raises(RankError):
-        fit_pca_regression(data, y, 100, "concatenated")
+        fit_pca_regression(data, y, 100)
 
 
 def test_pca_training_fit_matches_projection(noisy_data):
     data, y, _ = noisy_data
-    bm = fit_pca_regression(data, y, 2, "concatenated")
-    yhat_a = baseline_training_fit(bm)
+    bm = fit_pca_regression(data, y, 2)
+    yhat_a = bm.coefficients @ bm.scores
     yhat_b = baseline_predict(bm, data)
     assert yhat_a == pytest.approx(yhat_b, abs=1e-10)

@@ -59,3 +59,14 @@ def test_unguarded_script_names_the_missing_main_guard(tmp_path):
     assert out.returncode != 0
     assert "BrokenProcessPool" in out.stderr
     assert "without an 'if __name__ == \"__main__\":' guard" in out.stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # fold fits stopping at max_iter
+def test_run_replicate_cv_passes_convergence_settings_to_fold_fits(fit_configs):
+    from sjive.bench import CV_ETA_GRID, run_replicate
+
+    cfg = SimConfig(k=2, p=(10, 8), n=20, rank_joint=1, rank_indiv=(1, 1),
+                    x_err=0.3, y_err=0.2, seed=31)
+    run_replicate(cfg, 0, eta="cv", methods=("sjive", "jive_predict"), max_iter=7, tol=1e-3)
+    assert len(fit_configs) == 5 * len(CV_ETA_GRID) + 2
+    assert {(c.max_iter, c.tol) for c in fit_configs} == {(7, 1e-3)}

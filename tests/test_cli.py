@@ -318,3 +318,21 @@ def test_select_drop_constant(tmp_path):
     assert main([*args, "--out", str(tmp_path / "a")]) == 2
     assert main([*args, "--drop-constant", "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "b" / "chosen.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # fold fits stopping at --max-iter
+@pytest.mark.parametrize("select", [("--ranks", "auto"), ("--eta", "auto", "--ranks", "1,1,1"),
+                                    ("--ranks", "auto", "--eta", "auto")])
+def test_fit_convergence_flags_reach_every_fold_fit(tmp_path, fit_configs, select):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CFG.replace("p = 15, 12", "p = 12, 10").replace("n = 24", "n = 30"),
+                   encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    fit_configs.clear()
+    rc = main(["fit", "--x", str(data / "X1.csv"), "--x", str(data / "X2.csv"),
+               "--y", str(data / "y.csv"), *select, "--max-iter", "7", "--tol", "1e-3",
+               "--out", str(tmp_path / "fit")])
+    assert rc == 0
+    assert len(fit_configs) > 5  # the fold fits and the final fit
+    assert {(c.max_iter, c.tol) for c in fit_configs} == {(7, 1e-3)}

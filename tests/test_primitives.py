@@ -56,7 +56,7 @@ def test_least_squares_fallback_warns_once_in_both_callers():
     assert model.theta_indiv[0].tolist() == [0.0]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        bm = fit_pca_regression([x], y, 2, "concatenated")
+        bm = fit_pca_regression([x], y, 2)
     assert [str(w.message) for w in caught] == [
         "score Gram matrix is singular; using a pseudoinverse"]
     assert bm.coefficients.tolist() == [0.5, 0.0]

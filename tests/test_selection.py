@@ -186,6 +186,29 @@ def test_selection_passes_drop_policy_to_folds():
     assert ranks.total >= 1
 
 
+def test_variable_constant_in_one_training_fold_names_the_fold():
+    plan = make_cv_plan(40, seed=11)
+    data, y = _constant_in_one_training_fold(plan, fold=2)
+    assert np.std(data.blocks[0][0]) > 0  # not constant in the data as passed
+    cfg = FitConfig(eta=0.5, ranks=Ranks(1, (1, 1)))
+    with pytest.raises(DegeneracyError, match=r"^fold 3 training samples: block 1: "
+                                              r"zero-variance variable\(s\) \['b1_v1'\]"):
+        cv_fold_mses(data, y, cfg, plan)
+
+
+def test_outcome_constant_in_one_training_fold_names_the_fold():
+    # Nonzero only on fold 3's held-out samples: constant on its training samples.
+    plan = make_cv_plan(40, seed=11)
+    data, _ = _constant_in_one_training_fold(plan, fold=2)
+    values = np.zeros(40)
+    values[plan.folds[2]] = np.random.default_rng(1).normal(size=plan.folds[2].size)
+    y = Outcome(values)
+    with pytest.raises(DegeneracyError, match=r"^fold 3 training samples: outcome is constant"):
+        select_ranks(data, y, 0.5, plan, policy="drop")
+    with pytest.raises(DegeneracyError, match=r"^fold 3 training samples: outcome is constant"):
+        select_eta(data, y, Ranks(1, (1, 1)), grid=(0.5,), plan=plan, policy="drop")
+
+
 def test_unconverged_fold_fits_warn_once(small_noisy):
     data, y = small_noisy
     plan = make_cv_plan(data.n, seed=12)
