@@ -18,6 +18,7 @@ import numpy as np
 
 from .baselines import baseline_predict, fit_jive_predict, fit_pca_regression
 from .core import FitConfig, Ranks, fit
+from .linalg import BLAS_THREAD_VARS
 from .metrics import test_mse, win_rate
 from .predict import estimate_scores, predict
 from .selection import make_cv_plan, select_eta
@@ -28,8 +29,6 @@ DEFAULT_METHODS = ("sjive", "jive_predict", "concat_pca", "individual_pca")
 # Weights tried by ``eta="cv"``: a coarser grid than the CLI's, since every
 # replicate runs its own search.
 CV_ETA_GRID = (0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
-
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -129,12 +128,15 @@ def map_single_threaded(func, items, workers: int = 2) -> list:
     CPUs, four rank selections took 144 s serially, 373 s in two forked
     workers that kept the parent's threaded BLAS, and 87 s in two
     single-threaded workers. The calling process keeps its own BLAS
-    setting. Workers import the caller's main module, so a script that
+    setting. Inside a worker, a cross-validated selection still fits each
+    candidate's folds on ``linalg.parallel_workers()`` threads, which with
+    BLAS on one thread is the worker's usable CPU count.
+    Workers import the caller's main module, so a script that
     calls this needs the ``if __name__ == "__main__":`` guard; a worker
     that dies raises ``BrokenProcessPool`` naming that guard.
     """
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
         # Workers start inside pool.map, so they all see the setting.
         with ProcessPoolExecutor(max_workers=workers,

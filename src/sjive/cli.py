@@ -32,7 +32,14 @@ from .data import (
 from .errors import ConfigError, ParseError, SJiveError
 from .metrics import component_inference, meta_loadings, recovery_error, test_mse
 from .predict import estimate_scores, predict
-from .selection import DEFAULT_ETA_GRID, make_cv_plan, select_eta, select_model, select_ranks
+from .selection import (
+    DEFAULT_ETA_GRID,
+    make_cv_plan,
+    select_eta,
+    select_model,
+    select_ranks,
+    warn_unconverged,
+)
 from .simulate import SimConfig, generate
 
 
@@ -126,6 +133,13 @@ def _ranks_text(ranks: Ranks) -> str:
     return ",".join(str(r) for r in (ranks.joint, *ranks.individual))
 
 
+def _count_unconverged(reports) -> dict:
+    """Warn about the selection's fold fits that stopped at max_iter, and
+    count them for the manifest."""
+    warn_unconverged(reports)
+    return {"unconverged_fits": sum(not r.converged for r in reports)}
+
+
 def _load_and_score(args):
     """Model, new data standardized with its training moments, and scores."""
     model, _ = load_model(args.model)
@@ -155,9 +169,12 @@ def _cmd_fit(args, outdir):
     policy = "drop" if args.drop_constant else "error"
     data, y = standardize(raw, y_raw, policy=policy)
     compress = not args.no_compress
+    cv_counts = {}
     if args.ranks == "auto" or args.eta == "auto":
         plan = make_cv_plan(data.n, seed=args.seed)
-        common = dict(compress=compress, max_iter=args.max_iter, tol=args.tol, policy=policy)
+        reports: list = []
+        common = dict(compress=compress, max_iter=args.max_iter, tol=args.tol, policy=policy,
+                      reports=reports)
         if args.ranks == "auto" and args.eta == "auto":
             eta, ranks, *_ = select_model(raw, y_raw, plan, **common)
         elif args.ranks == "auto":
@@ -166,6 +183,7 @@ def _cmd_fit(args, outdir):
         else:
             ranks = _parse_ranks(args.ranks, data.k)
             eta, _ = select_eta(raw, y_raw, ranks, DEFAULT_ETA_GRID, plan, **common)
+        cv_counts = _count_unconverged(reports)
     else:
         ranks = _parse_ranks(args.ranks, data.k)
         eta = float(args.eta)
@@ -194,6 +212,7 @@ def _cmd_fit(args, outdir):
         "iterations": report.iterations,
         "final_objective": repr(report.final_objective),
         "dropped_variables": ";".join(dropped) if dropped else "none",
+        **cv_counts,
     }
     summary = (
         f"fit eta={eta:g} ranks=({_ranks_text(ranks)}) "
@@ -225,9 +244,10 @@ def _cmd_select(args, outdir):
         if args.eta_grid
         else DEFAULT_ETA_GRID
     )
+    reports: list = []
     eta, ranks, rank_trace, eta_trace = select_model(
         raw, y_raw, plan, eta_grid=grid, iterate=args.iterate, compress=not args.no_compress,
-        policy="drop" if args.drop_constant else "error",
+        policy="drop" if args.drop_constant else "error", reports=reports,
     )
     header, rows = _fold_trace_rows(rank_trace)
     _write_rows(outdir / "rank_trace.csv", header, rows)
@@ -239,7 +259,7 @@ def _cmd_select(args, outdir):
         [[eta, ranks.joint, *ranks.individual]],
     )
     params = {"x": ";".join(args.x), "y": args.y, "eta": eta, "ranks": _ranks_text(ranks),
-              "eta_grid": ",".join(f"{g:g}" for g in grid)}
+              "eta_grid": ",".join(f"{g:g}" for g in grid), **_count_unconverged(reports)}
     return params, args.seed, f"selected eta={eta:g}, ranks=({_ranks_text(ranks)}) -> {outdir}"
 
 
@@ -328,8 +348,10 @@ def _cmd_evaluate(args, outdir):
         write_csv(outdir / f"heatmap_indiv_block{i + 1}.csv", indiv[i], var_ids[i], train_ids)
     if args.truth:
         truth = load_truth(args.truth)
-        errors = [recovery_error(np.vstack(joint), truth.stacked_joint())]
-        errors += [recovery_error(indiv[i], truth.indiv_structure[i]) for i in range(model.k)]
+        pairs = [(np.vstack(joint), truth.stacked_joint()), *zip(indiv, truth.indiv_structure)]
+        # A component with no true structure (a zero individual rank) has no
+        # relative error.
+        errors = [recovery_error(est, true) if np.any(true) else np.nan for est, true in pairs]
         write_csv(outdir / "recovery.csv", np.array(errors)[:, None],
                   ["joint", *(f"block{i + 1}" for i in range(model.k))], ["recovery_error"],
                   corner="component")

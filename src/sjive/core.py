@@ -201,8 +201,10 @@ def _sweep(stacked, xt, yt, offsets, ranks: Ranks, F, S, ind_x, y_ind):
             xt[a:b] - L[a:b] @ S_J,
             (yt - L[-1] @ S_J - y_others)[None, :],
         ])
-        if V.shape[1] == Ri.shape[1]:
-            Ri[:] = 0.0  # row(S_J) is every direction, so nothing is left outside it
+        if ranks.joint == Ri.shape[1]:
+            # Rank n reproduces any n-column matrix, so the joint part takes
+            # everything; what the projection would leave is rounding error.
+            Ri[:] = 0.0
         elif V.shape[1]:
             along = Ri @ V
             Ri -= along @ V.T
@@ -374,7 +376,9 @@ def rescale_identifiable(model: SJiveModel) -> SJiveModel:
     stacked blocks; at eta = 1 they were obtained post hoc and stay outside
     the norm, so the unsupervised decomposition keeps a gauge that does not
     depend on the outcome. All-zero blocks are left untouched and flagged
-    in ``degenerate``.
+    in ``degenerate``; so are individual parts whose scores are all zero,
+    after their loadings and coefficients are set to zero, so new samples
+    get zero scores there.
     """
     in_frame = model.eta < 1.0
     U, S_J, th1 = model.joint_loadings, model.joint_scores, model.theta_joint
@@ -390,6 +394,12 @@ def rescale_identifiable(model: SJiveModel) -> SJiveModel:
     for i, r in enumerate(model.ranks.individual):
         if r == 0:
             continue
+        if not S[i].any():
+            # Nothing left outside row(S_J) (joint rank n): the loadings came
+            # from the SVD of a zero matrix and carry no structure.
+            W[i] = np.zeros_like(W[i])
+            if th2 is not None:
+                th2[i] = np.zeros_like(th2[i])
         framed = unit_frame([W[i]], S[i], None if th2 is None else th2[i],
                             theta_in_norm=in_frame)
         if framed is None:

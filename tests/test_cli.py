@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sjive
@@ -336,3 +337,55 @@ def test_fit_convergence_flags_reach_every_fold_fit(tmp_path, fit_configs, selec
     assert rc == 0
     assert len(fit_configs) > 5  # the fold fits and the final fit
     assert {(c.max_iter, c.tol) for c in fit_configs} == {(7, 1e-3)}
+
+
+def _manifest_value(outdir, key):
+    lines = (outdir / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    return next(line.split(" = ", 1)[1] for line in lines if line.startswith(f"{key} = "))
+
+
+@pytest.mark.parametrize("select", [("--ranks", "auto"), ("--eta", "auto", "--ranks", "1,1,1")])
+def test_fit_manifest_counts_unconverged_fold_fits(simdir, tmp_path, fit_configs, select):
+    _, data = simdir
+    fit_configs.clear()
+    with pytest.warns(RuntimeWarning, match="cross-validation fold fits stopped") as record:
+        rc = main(["fit", "--x", str(data / "X1.csv"), "--x", str(data / "X2.csv"),
+                   "--y", str(data / "y.csv"), *select, "--max-iter", "1",
+                   "--out", str(tmp_path / "fit")])
+    assert rc == 0
+    message = next(str(w.message) for w in record if "fold fits" in str(w.message))
+    count, total = (int(v) for v in message.split()[:3:2])
+    assert total == len(fit_configs) - 1  # every fit but the final one is a fold fit
+    assert 0 < count <= total
+    assert _manifest_value(tmp_path / "fit", "unconverged_fits") == str(count)
+
+
+def test_select_manifest_counts_unconverged_fold_fits(simdir, tmp_path):
+    _, data = simdir
+    rc = main(["select", "--x", str(data / "X1.csv"), "--x", str(data / "X2.csv"),
+               "--y", str(data / "y.csv"), "--eta-grid", "0.5", "--out", str(tmp_path / "sel")])
+    assert rc == 0
+    assert _manifest_value(tmp_path / "sel", "unconverged_fits") == "0"
+    # A fixed-rank, fixed-weight fit runs no selection and reports no count.
+    rc = main(["fit", "--x", str(data / "X1.csv"), "--x", str(data / "X2.csv"),
+               "--y", str(data / "y.csv"), "--ranks", "1,1,1", "--out", str(tmp_path / "fit")])
+    assert rc == 0
+    assert "unconverged_fits" not in (tmp_path / "fit" / "manifest.txt").read_text(encoding="utf-8")
+
+
+def test_evaluate_truth_with_a_zero_individual_rank(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CFG.replace("k = 2", "k = 3").replace("p = 15, 12", "p = 15, 12, 10")
+                   .replace("rank_indiv = 1, 1", "rank_indiv = 1, 0, 1"), encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    xs = [arg for i in (1, 2, 3) for arg in ("--x", str(data / f"X{i}.csv"))]
+    assert main(["fit", *xs, "--y", str(data / "y.csv"), "--ranks", "1,1,0,1",
+                 "--out", str(tmp_path / "fit")]) == 0
+    rc = main(["evaluate", "--model", str(tmp_path / "fit" / "model.zip"), *xs,
+               "--truth", str(data / "truth.zip"), "--out", str(tmp_path / "eval")])
+    assert rc == 0
+    rec = {r[0]: float(r[1]) for r in _read_rows(tmp_path / "eval" / "recovery.csv")[1:]}
+    assert list(rec) == ["joint", "block1", "block2", "block3"]
+    assert np.isnan(rec["block2"])
+    assert all(np.isfinite(rec[c]) for c in ("joint", "block1", "block3"))

@@ -317,3 +317,27 @@ def test_fit_deterministic():
     m2, r2 = fit(data, y, fc)
     assert np.array_equal(m1.joint_scores, m2.joint_scores)
     assert r1.objective_trace == r2.objective_trace
+
+
+@pytest.mark.filterwarnings("ignore:score Gram matrix is singular")
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+def test_joint_rank_n_leaves_flagged_empty_individual_parts(eta):
+    # Rank n reproduces the data, so the individual parts are empty: zero
+    # loadings and coefficients, flagged, and zero scores for new samples.
+    from sjive.predict import estimate_scores, predict
+
+    rng = np.random.default_rng(19)
+    data = [rng.normal(size=(8, 5)), rng.normal(size=(7, 5))]
+    y = rng.normal(size=5)
+    new = [rng.normal(size=(8, 9)), rng.normal(size=(7, 9))]
+    model, _ = fit(data, y, FitConfig(eta=eta, ranks=Ranks(5, (1, 1))))
+    joint_only, _ = fit(data, y, FitConfig(eta=eta, ranks=Ranks(5, (0, 0))))
+    assert model.degenerate == ("individual 1", "individual 2")
+    for w, th, s in zip(model.indiv_loadings, model.theta_indiv, model.indiv_scores):
+        assert not w.any() and not th.any() and not s.any()
+    est = estimate_scores(model, new)
+    assert not any(s.any() for s in est.indiv_scores)
+    np.testing.assert_allclose(model.fitted_outcome(), joint_only.fitted_outcome(), atol=1e-12)
+    np.testing.assert_allclose(predict(model, est, standardized=True),
+                               predict(joint_only, estimate_scores(joint_only, new),
+                                       standardized=True), atol=1e-10)
