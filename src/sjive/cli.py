@@ -43,8 +43,9 @@ from .selection import (
 from .simulate import SimConfig, generate
 
 
-def _read_sim_config(path):
-    """Parse a key = value config file with a [simulation] section."""
+def _read_sim_config(path, seed=None):
+    """Parse a key = value config file with a [simulation] section; a
+    ``seed`` that is not None overrides the file's seed."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -68,7 +69,7 @@ def _read_sim_config(path):
             x_err=sec.getfloat("x_err", fallback=0.0),
             y_err=sec.getfloat("y_err", fallback=0.0),
             r_prop=sec.getfloat("r_prop", fallback=1.0),
-            seed=sec.getint("seed", fallback=0),
+            seed=sec.getint("seed", fallback=0) if seed is None else seed,
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -149,9 +150,7 @@ def _load_and_score(args):
 
 
 def _cmd_simulate(args, outdir):
-    cfg, _ = _read_sim_config(args.config)
-    if args.seed is not None:
-        cfg = SimConfig(**{**cfg.__dict__, "seed": args.seed})
+    cfg, _ = _read_sim_config(args.config, args.seed)
     data, y, truth = generate(cfg)
     for i, block in enumerate(data.blocks):
         write_csv(outdir / f"X{i + 1}.csv", block, data.variable_ids[i], data.sample_ids)
@@ -168,13 +167,11 @@ def _cmd_fit(args, outdir):
         raise ParseError("outcome sample ids do not match the block sample ids")
     policy = "drop" if args.drop_constant else "error"
     data, y = standardize(raw, y_raw, policy=policy)
-    compress = not args.no_compress
     cv_counts = {}
     if args.ranks == "auto" or args.eta == "auto":
         plan = make_cv_plan(data.n, seed=args.seed)
         reports: list = []
-        common = dict(compress=compress, max_iter=args.max_iter, tol=args.tol, policy=policy,
-                      reports=reports)
+        common = dict(max_iter=args.max_iter, tol=args.tol, policy=policy, reports=reports)
         if args.ranks == "auto" and args.eta == "auto":
             eta, ranks, *_ = select_model(raw, y_raw, plan, **common)
         elif args.ranks == "auto":
@@ -188,7 +185,7 @@ def _cmd_fit(args, outdir):
         ranks = _parse_ranks(args.ranks, data.k)
         eta = float(args.eta)
     cfg = FitConfig(eta=eta, ranks=ranks, max_iter=args.max_iter, tol=args.tol)
-    model, report = fit(data, y, cfg, compress=compress)
+    model, report = fit(data, y, cfg)
     save_model(model, outdir / "model.zip", report)
     _write_rows(
         outdir / "fit_report.csv",
@@ -207,7 +204,6 @@ def _cmd_fit(args, outdir):
         "ranks": _ranks_text(ranks),
         "tol": args.tol,
         "max_iter": args.max_iter,
-        "compress": "auto" if compress else False,
         "converged": report.converged,
         "iterations": report.iterations,
         "final_objective": repr(report.final_objective),
@@ -246,7 +242,7 @@ def _cmd_select(args, outdir):
     )
     reports: list = []
     eta, ranks, rank_trace, eta_trace = select_model(
-        raw, y_raw, plan, eta_grid=grid, iterate=args.iterate, compress=not args.no_compress,
+        raw, y_raw, plan, eta_grid=grid, iterate=args.iterate,
         policy="drop" if args.drop_constant else "error", reports=reports,
     )
     header, rows = _fold_trace_rows(rank_trace)
@@ -267,9 +263,7 @@ def _cmd_benchmark(args, outdir):
     # Imported here so fit and predict do not load the process-pool modules.
     from .bench import run_benchmark
 
-    sim_cfg, n_test = _read_sim_config(args.config)
-    if args.seed is not None:
-        sim_cfg = SimConfig(**{**sim_cfg.__dict__, "seed": args.seed})
+    sim_cfg, n_test = _read_sim_config(args.config, args.seed)
     eta = "cv" if args.eta == "cv" else float(args.eta)
     result = run_benchmark(
         sim_cfg,
@@ -393,8 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--max-iter", type=int, default=1000)
     p_fit.add_argument("--drop-constant", action="store_true",
                        help="drop zero-variance variables instead of erroring")
-    p_fit.add_argument("--no-compress", action="store_true",
-                       help="disable the tall-block SVD compression")
     add_common(p_fit)
     add_cv_seed(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
@@ -415,7 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="repeat rank selection once at the chosen weight")
     p_sel.add_argument("--drop-constant", action="store_true",
                        help="drop zero-variance variables instead of erroring")
-    p_sel.add_argument("--no-compress", action="store_true")
     add_common(p_sel)
     add_cv_seed(p_sel)
     p_sel.set_defaults(func=_cmd_select)

@@ -173,34 +173,32 @@ def _truncated_left_scores(m: np.ndarray, r: int):
     return u, s[:, None] * vt, vt[rank_mask(s)].T
 
 
-def _zero_state(offsets, n):
-    """Individual parts (F, S, ind_x, y_ind) of rank zero."""
-    F = [np.zeros((b - a + 1, 0)) for a, b in offsets]
-    S = [np.zeros((0, n)) for _ in offsets]
-    ind_x = [np.zeros((b - a, n)) for a, b in offsets]
-    return F, S, ind_x, np.zeros(n)
+def _sweep(stacked, offsets, ranks: Ranks, parts):
+    """One ALS sweep from the individual parts ``parts``; returns the new
+    factors (L, S_J, F, S), the new parts and their objective.
 
-
-def _sweep(stacked, xt, yt, offsets, ranks: Ranks, F, S, ind_x, y_ind):
-    """One ALS sweep; updates F, S and ind_x in place.
+    ``parts[i]`` is block i's fitted individual part stacked over its
+    outcome row, F_i @ S_i; unlike F_i and S_i it has no gauge or sign
+    freedom, and all zeros is the start state. The arguments are not
+    modified.
 
     Joint update: best rank-r_J factors of the data minus all individual
-    contributions, taken in one SVD so loadings and scores stay consistent.
+    parts, taken in one SVD so loadings and scores stay consistent.
     Individual updates: each block residual is projected onto the orthogonal
     complement of the joint score rows, which keeps row(S_i) perpendicular
-    to row(S_J). From the zero state this is the initialization.
+    to row(S_J).
     """
     R = stacked.copy()
-    for (a, b), xc in zip(offsets, ind_x):
-        R[a:b] -= xc
+    for (a, b), part in zip(offsets, parts):
+        R[a:b] -= part[:-1]
+    y_ind = sum(part[-1] for part in parts)
     R[-1] -= y_ind
     L, S_J, V = _truncated_left_scores(R, ranks.joint)
-    for i, (a, b) in enumerate(offsets):
-        y_others = y_ind - F[i][-1] @ S[i]
-        Ri = np.vstack([
-            xt[a:b] - L[a:b] @ S_J,
-            (yt - L[-1] @ S_J - y_others)[None, :],
-        ])
+    resid = stacked - L @ S_J
+    F, S, new_parts = [], [], []
+    for i, ((a, b), part) in enumerate(zip(offsets, parts)):
+        y_others = y_ind - part[-1]
+        Ri = np.vstack([resid[a:b], (resid[-1] - y_others)[None, :]])
         if ranks.joint == Ri.shape[1]:
             # Rank n reproduces any n-column matrix, so the joint part takes
             # everything; what the projection would leave is rounding error.
@@ -214,41 +212,37 @@ def _sweep(stacked, xt, yt, offsets, ranks: Ranks, F, S, ind_x, y_ind):
             if np.linalg.norm(Ri) < 1e-3 * np.linalg.norm(along):
                 Ri -= (Ri @ V) @ V.T
         Fi, Si, _ = _truncated_left_scores(Ri, ranks.individual[i])
-        F[i], S[i] = Fi, Si
-        ind_x[i] = Fi[:-1] @ Si
-        y_ind = y_others + Fi[-1] @ Si
-    return L, S_J, y_ind
-
-
-def _state_objective(stacked, offsets, L, S_J, ind_x, y_ind) -> float:
-    resid = stacked - L @ S_J
-    for (a, b), xc in zip(offsets, ind_x):
-        resid[a:b] -= xc
+        F.append(Fi)
+        S.append(Si)
+        new_parts.append(Fi @ Si)
+        y_ind = y_others + new_parts[-1][-1]
+    for (a, b), part in zip(offsets, new_parts):
+        resid[a:b] -= part[:-1]
     resid[-1] -= y_ind
-    return float(np.sum(resid * resid))
+    return (L, S_J, F, S), new_parts, float(np.sum(resid * resid))
 
 
-def _als(stacked, xt, yt, offsets, ranks: Ranks, max_iter: int, tol: float):
-    F, S, ind_x, y_ind = _zero_state(offsets, stacked.shape[1])
-    L, S_J, y_ind = _sweep(stacked, xt, yt, offsets, ranks, F, S, ind_x, y_ind)
-    trace = [_state_objective(stacked, offsets, L, S_J, ind_x, y_ind)]
+def _als(stacked, offsets, ranks: Ranks, max_iter: int, tol: float):
+    parts = [np.zeros((b - a + 1, stacked.shape[1])) for a, b in offsets]
+    factors, parts, obj = _sweep(stacked, offsets, ranks, parts)
+    trace = [obj]
     # Absolute stop for exactly representable decompositions, far below any
     # tolerance a caller would use on real data.
     floor = 1e-18 * max(float(np.sum(stacked * stacked)), 1e-300)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        L, S_J, y_ind = _sweep(stacked, xt, yt, offsets, ranks, F, S, ind_x, y_ind)
-        obj = _state_objective(stacked, offsets, L, S_J, ind_x, y_ind)
+        factors, parts, obj = _sweep(stacked, offsets, ranks, parts)
         trace.append(obj)
         prev = trace[-2]
         if prev - obj <= tol * max(prev, 1e-300) or obj <= floor:
             converged = True
             break
-    return L, S_J, F, S, trace, iterations, converged
+    return factors, trace, iterations, converged
 
 
-def _build_model(L, S_J, F, S, cfg: FitConfig, offsets, cbs, yvals, data, yscaler):
+def _build_model(factors, cfg: FitConfig, offsets, cbs, yvals, data, yscaler):
+    L, S_J, F, S = factors
     rt_eta = np.sqrt(cfg.eta)
     U = [L[a:b] / rt_eta for a, b in offsets]
     W = [f[:-1] / rt_eta for f in F]
@@ -318,14 +312,14 @@ def objective(data, y, model: SJiveModel) -> float:
     return total
 
 
-def fit(data, y, cfg: FitConfig, compress=True):
+def fit(data, y, cfg: FitConfig, compress: bool = True):
     """Fit the decomposition by alternating exact block updates.
 
-    While ``compress`` is on (any value but False; "auto" means the same),
-    each block with more variables than samples is replaced during the
-    iterations by its SVD score representation, and the result is mapped
-    back to variable space (equivalent up to floating point). Blocks with
-    no more variables than samples are never compressed.
+    While ``compress`` is on (the default), each block with more variables
+    than samples is replaced during the iterations by its SVD score
+    representation, and the result is mapped back to variable space
+    (equivalent up to floating point). Blocks with no more variables than
+    samples are never compressed.
     Returns (model, report); ``report.converged`` is False when the
     iteration budget ran out, in which case the best model so far is
     returned.
@@ -344,21 +338,19 @@ def fit(data, y, cfg: FitConfig, compress=True):
     cfg.ranks.validate_for(data.p, data.n)
     # Looked up on the module at call time, so a wrapped data.compress sees
     # every call.
-    cbs = [_data.compress(b) if compress is not False and b.shape[0] > b.shape[1] else None
+    cbs = [_data.compress(b) if compress and b.shape[0] > b.shape[1] else None
            for b in data.blocks]
     work = [b if cb is None else cb.scores for b, cb in zip(data.blocks, cbs)]
     edges = np.cumsum([0, *(b.shape[0] for b in work)])
     offsets = list(zip(edges[:-1], edges[1:]))
-    xt = np.vstack(work) * np.sqrt(cfg.eta)
+    stacked = np.vstack([*work, np.zeros((1, data.n))])
+    stacked[:-1] *= np.sqrt(cfg.eta)
     if yvals is not None and cfg.eta < 1.0:
-        yt = yvals * np.sqrt(1.0 - cfg.eta)
-    else:
-        yt = np.zeros(data.n)
-    stacked = np.vstack([xt, yt[None, :]])
-    L, S_J, F, S, trace, iterations, converged = _als(
-        stacked, xt, yt, offsets, cfg.ranks, cfg.max_iter, cfg.tol
+        stacked[-1] = yvals * np.sqrt(1.0 - cfg.eta)
+    factors, trace, iterations, converged = _als(
+        stacked, offsets, cfg.ranks, cfg.max_iter, cfg.tol
     )
-    model = _build_model(L, S_J, F, S, cfg, offsets, cbs, yvals, data, yscaler)
+    model = _build_model(factors, cfg, offsets, cbs, yvals, data, yscaler)
     report = FitReport(
         objective_trace=trace,
         iterations=iterations,

@@ -305,41 +305,22 @@ def standardize(
     """
     if policy not in ("error", "drop"):
         raise ValueError(f"unknown zero-variance policy {policy!r}")
-    new_blocks, scalers, new_ids = [], [], []
+    scalers = []
     for i, block in enumerate(data.blocks):
         means, sds = _row_moments(block)
         const = sds <= _SD_FLOOR * (1.0 + np.abs(means))
-        ids = data.variable_ids[i]
-        if const.any():
-            names = [ids[j] for j in np.nonzero(const)[0]]
-            if policy == "error":
-                raise DegeneracyError(
-                    f"block {i + 1}: zero-variance variable(s) {names}; "
-                    "drop them or rerun with the drop-constant policy"
-                )
-            keep = ~const
-        else:
-            keep = np.ones(block.shape[0], dtype=bool)
-        if not keep.any():
-            raise DegeneracyError(f"block {i + 1}: no variables left after dropping constants")
-        kept_idx = np.nonzero(keep)[0]
-        scaled = (block[kept_idx] - means[kept_idx, None]) / sds[kept_idx, None]
-        new_blocks.append(scaled)
-        new_ids.append([ids[j] for j in kept_idx])
-        scalers.append(
-            BlockScaler(
-                means=means[kept_idx].copy(),
-                sds=sds[kept_idx].copy(),
-                dropped_ids=[ids[j] for j in np.nonzero(const)[0]],
-                dropped_idx=[int(j) for j in np.nonzero(const)[0]],
+        dropped = np.nonzero(const)[0]
+        names = [data.variable_ids[i][j] for j in dropped]
+        if names and policy == "error":
+            raise DegeneracyError(
+                f"block {i + 1}: zero-variance variable(s) {names}; "
+                "drop them or rerun with the drop-constant policy"
             )
-        )
-    out_data = MultiSourceDataset(
-        blocks=new_blocks,
-        sample_ids=list(data.sample_ids),
-        variable_ids=new_ids,
-        standardization=scalers,
-    )
+        if const.all():
+            raise DegeneracyError(f"block {i + 1}: no variables left after dropping constants")
+        scalers.append(BlockScaler(means=means[~const], sds=sds[~const], dropped_ids=names,
+                                   dropped_idx=[int(j) for j in dropped]))
+    out_data = standardize_with(data, scalers)
     if y is None:
         return out_data, None
     mean = float(np.mean(y.values))

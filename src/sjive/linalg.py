@@ -117,7 +117,8 @@ def unit_frame(loadings: list, scores: np.ndarray, theta=None, theta_in_norm: bo
     the frame is all zero.
     """
     parts = [*loadings, theta] if theta is not None and theta_in_norm else loadings
-    nsq = sum(float(np.sum(u * u)) for u in parts)
+    with np.errstate(over="ignore"):  # an infinite sum is handled below
+        nsq = sum(float(np.sum(u * u)) for u in parts)
     if nsq == 0.0:
         return None
     c = math.sqrt(nsq)

@@ -123,10 +123,10 @@ def prepare_folds(
     return tuple(folds)
 
 
-def _fold_fit(fold: PreparedFold, cfg: FitConfig, compress):
+def _fold_fit(fold: PreparedFold, cfg: FitConfig):
     """Held-out MSE and FitReport of one fold fit. ``fit`` is looked up on
     this module at call time, so a wrapped fit sees every fold fit."""
-    model, report = fit(fold.train, fold.y_train, cfg, compress=compress)
+    model, report = fit(fold.train, fold.y_train, cfg)
     yhat = predict(model, estimate_scores(model, fold.test), standardized=True)
     return test_mse(fold.y_test, yhat), report
 
@@ -153,7 +153,6 @@ def _in_order(func, items):
 def cv_fold_mses(
     folds: tuple[PreparedFold, ...],
     cfg: FitConfig,
-    compress=True,
     reports: list | None = None,
 ) -> np.ndarray:
     """Standardized-scale test MSE of each fold's held-out samples, for the
@@ -171,7 +170,7 @@ def cv_fold_mses(
         except RankError as exc:
             raise RankError(f"fold {f + 1}: {exc}") from None
     mses = np.empty(len(folds))
-    for f, (mse, report) in enumerate(_in_order(lambda fold: _fold_fit(fold, cfg, compress), folds)):
+    for f, (mse, report) in enumerate(_in_order(lambda fold: _fold_fit(fold, cfg), folds)):
         if reports is not None:
             reports.append(report)
         mses[f] = mse
@@ -182,13 +181,13 @@ class _Candidates:
     """Cross-validates (eta, ranks) candidates on folds prepared once; a
     candidate seen before returns its fold MSEs without refitting."""
 
-    def __init__(self, data, y, plan, compress, max_iter, tol, policy, reports):
+    def __init__(self, data, y, plan, max_iter, tol, policy, reports):
         if plan is None:
             plan = make_cv_plan(data.n, seed=0)
         self.folds = prepare_folds(data, y, plan, policy)
         self.k, self.p = data.k, data.p
         self.n_train_min = min(fold.train.n for fold in self.folds)
-        self.compress, self.max_iter, self.tol = compress, max_iter, tol
+        self.max_iter, self.tol = max_iter, tol
         self.reports = [] if reports is None else reports
         self._seen: dict = {}
 
@@ -196,7 +195,7 @@ class _Candidates:
         key = (eta, ranks)
         if key not in self._seen:
             cfg = FitConfig(eta=eta, ranks=ranks, max_iter=self.max_iter, tol=self.tol)
-            self._seen[key] = cv_fold_mses(self.folds, cfg, self.compress, self.reports)
+            self._seen[key] = cv_fold_mses(self.folds, cfg, self.reports)
         return self._seen[key]
 
 
@@ -239,7 +238,6 @@ def select_eta(
     ranks: Ranks,
     grid=DEFAULT_ETA_GRID,
     plan: CvPlan | None = None,
-    compress=True,
     max_iter: int = 1000,
     tol: float = 1e-6,
     policy: str = "error",
@@ -253,7 +251,7 @@ def select_eta(
     stopped without converging are counted in one RuntimeWarning.
     """
     grid = _check_grid(grid)
-    cv = _Candidates(data, y, plan, compress, max_iter, tol, policy, reports)
+    cv = _Candidates(data, y, plan, max_iter, tol, policy, reports)
     eta, trace = _search_eta(cv, ranks, grid)
     if reports is None:
         warn_unconverged(cv.reports)
@@ -306,7 +304,6 @@ def select_ranks(
     y: Outcome,
     eta: float,
     plan: CvPlan | None = None,
-    compress=True,
     max_iter: int = 1000,
     tol: float = 1e-6,
     policy: str = "error",
@@ -318,7 +315,7 @@ def select_ranks(
     lowest block index (the candidate order below). ``policy`` and
     ``reports`` work as in ``select_eta``.
     """
-    cv = _Candidates(data, y, plan, compress, max_iter, tol, policy, reports)
+    cv = _Candidates(data, y, plan, max_iter, tol, policy, reports)
     ranks, trace = _search_ranks(cv, eta)
     if reports is None:
         warn_unconverged(cv.reports)
@@ -335,7 +332,6 @@ def select_model(
     plan: CvPlan | None = None,
     eta_grid=DEFAULT_ETA_GRID,
     iterate: bool = False,
-    compress=True,
     max_iter: int = 1000,
     tol: float = 1e-6,
     policy: str = "error",
@@ -352,7 +348,7 @@ def select_model(
     unconverged fold fits of the whole pipeline share one RuntimeWarning.
     """
     grid = _check_grid(eta_grid)
-    cv = _Candidates(data, y, plan, compress, max_iter, tol, policy, reports)
+    cv = _Candidates(data, y, plan, max_iter, tol, policy, reports)
     ranks, rank_trace = _search_ranks(cv, RANK_ETA)
     if ranks.total == 0:
         eta, eta_trace = RANK_ETA, SelectionTrace(chosen="skipped: all ranks zero")

@@ -60,6 +60,10 @@ def test_simulate_reproducible(simdir, tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
     for name in ["X1.csv", "X2.csv", "y.csv"]:
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+    out3 = tmp_path / "data3"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out3), "--seed", "6"]) == 0
+    assert "seed = 6" in (out3 / "manifest.txt").read_text(encoding="utf-8")
+    assert (out / "X1.csv").read_bytes() != (out3 / "X1.csv").read_bytes()
 
 
 def test_fit_predict_evaluate_pipeline(simdir, tmp_path):
@@ -389,3 +393,31 @@ def test_evaluate_truth_with_a_zero_individual_rank(tmp_path):
     assert list(rec) == ["joint", "block1", "block2", "block3"]
     assert np.isnan(rec["block2"])
     assert all(np.isfinite(rec[c]) for c in ("joint", "block1", "block3"))
+
+
+def test_one_block_through_every_command(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        "[simulation]\nk = 1\np = 12\nn = 30\nrank_joint = 1\nrank_indiv = 1\n"
+        "x_err = 0.1\ny_err = 0.1\nseed = 3\n",
+        encoding="utf-8",
+    )
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    x, y = ["--x", str(data / "X1.csv")], ["--y", str(data / "y.csv")]
+    fitdir = tmp_path / "fit"
+    assert main(["fit", *x, *y, "--ranks", "auto", "--eta", "auto", "--out", str(fitdir)]) == 0
+    manifest = (fitdir / "manifest.txt").read_text(encoding="utf-8")
+    assert "unconverged_fits = 0" in manifest
+    model = ["--model", str(fitdir / "model.zip")]
+    assert main(["predict", *model, *x, "--out", str(tmp_path / "pred")]) == 0
+    rows = _read_rows(tmp_path / "pred" / "predictions.csv")
+    assert rows[0] == ["sample_id", "predicted", "contrib_joint", "contrib_block1"]
+    assert len(rows) == 31
+    assert main(["select", *x, *y, "--eta-grid", "0.25,0.75", "--out", str(tmp_path / "sel")]) == 0
+    chosen = _read_rows(tmp_path / "sel" / "chosen.csv")
+    assert chosen[0] == ["eta", "rank_joint", "rank_block1"]
+    assert main(["evaluate", *model, *x, *y, "--truth", str(data / "truth.zip"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    rec = {r[0]: float(r[1]) for r in _read_rows(tmp_path / "eval" / "recovery.csv")[1:]}
+    assert list(rec) == ["joint", "block1"]

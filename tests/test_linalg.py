@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,15 @@ def test_frobenius_sq_zero_iff_zero_matrix():
     assert unit_frame([np.zeros((3, 2))], np.ones((2, 4))) is None
     assert unit_frame([np.zeros((3, 2))], np.ones((2, 4)), np.zeros(2)) is None
     assert unit_frame([np.array([[0.0, 1e-150]])], np.ones((2, 1))) is not None
+
+
+def test_unit_frame_overflowing_squares_do_not_warn():
+    # Squares of 1e160 overflow; the norm is rescaled without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (loadings,), scores, _ = unit_frame([np.full((3, 2), 1e160)], np.ones((2, 4)))
+    assert loadings == pytest.approx(np.full((3, 2), 1.0 / np.sqrt(6.0)), rel=1e-15)
+    assert scores == pytest.approx(np.full((2, 4), 1e160 * np.sqrt(6.0)), rel=1e-15)
 
 
 def test_svd_truncated_diagonal():

@@ -254,6 +254,21 @@ def test_select_model_counts_unconverged_across_passes(monkeypatch):
     assert str(record[0].message).startswith(f"{len(fits)} of {len(fits)} ")
 
 
+def test_select_model_with_one_block():
+    # With k = 1 a joint and an individual component span the same space;
+    # the tie goes to the joint rank, which is tried first.
+    cfg = SimConfig(k=1, p=(12,), n=30, rank_joint=1, rank_indiv=(1,),
+                    x_err=0.1, y_err=0.1, seed=3)
+    data, y, _ = generate(cfg)
+    eta, ranks, rank_trace, eta_trace = select_model(
+        data, y, make_cv_plan(data.n, seed=2), eta_grid=(0.25, 0.5, 0.75))
+    assert ranks == Ranks(1, (0,))
+    assert [c["candidate"] for c in rank_trace.candidates][:3] == [
+        "(0,0)", "round1:joint->(1,0)", "round1:block1->(0,1)"]
+    assert eta in (0.25, 0.5, 0.75)
+    assert eta_trace.chosen == f"eta={eta:g}"
+
+
 # The CV engine: folds prepared once per selection call, one candidate's
 # folds fitted side by side on linalg.parallel_workers() threads.
 
@@ -353,6 +368,17 @@ def test_threaded_rank_error_names_its_fold(small_noisy, two_workers):
     folds = prepare_folds(data, y, make_cv_plan(data.n, seed=4))
     with pytest.raises(RankError, match="^fold 1: joint rank 31"):
         cv_fold_mses(folds, FitConfig(eta=0.5, ranks=Ranks(31, (1, 1))))
+    # 49 samples in two folds train on 24 and 25 samples (p = 30): the
+    # smaller fold's cap of 24 fits every fold, one more fails on it alone.
+    keep = np.arange(49)
+    folds = prepare_folds(data.subset_samples(keep), Outcome(y.values[keep]),
+                          make_cv_plan(49, seed=4, n_folds=2))
+    assert [fold.train.n for fold in folds] == [24, 25]
+    assert np.isfinite(cv_fold_mses(folds, FitConfig(eta=0.5, ranks=Ranks(24, (0, 0))))).all()
+    with pytest.raises(RankError, match="^fold 1: joint rank 25 exceeds min.* = 24"):
+        cv_fold_mses(folds, FitConfig(eta=0.5, ranks=Ranks(25, (0, 0))))
+    with pytest.raises(RankError, match="^fold 1: block 2 rank 25 exceeds min.* = 24"):
+        cv_fold_mses(folds, FitConfig(eta=0.5, ranks=Ranks(0, (24, 25))))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
