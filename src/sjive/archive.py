@@ -23,9 +23,10 @@ from .simulate import SimTruth
 
 FORMAT_VERSION = 2
 
+# Older truth archives also hold the structure and outcome products; unread.
 _TRUTH_PER_BLOCK = ("joint_loadings", "indiv_loadings", "indiv_scores", "theta_indiv",
-                    "noise_blocks", "joint_structure", "indiv_structure")
-_TRUTH_SINGLE = ("joint_scores", "theta_joint", "noise_outcome", "outcome_joint", "outcome_indiv")
+                    "noise_blocks")
+_TRUTH_SINGLE = ("joint_scores", "theta_joint", "noise_outcome")
 
 
 def _save(path, kind: str, arrays: dict, manifest: dict) -> None:
@@ -94,6 +95,7 @@ def save_model(model: SJiveModel, path, report: FitReport | None = None) -> None
         "ranks": {"joint": model.ranks.joint, "individual": list(model.ranks.individual)},
         "degenerate": list(model.degenerate),
         "variable_ids": model.variable_ids,
+        "sample_ids": model.sample_ids,
         "dropped": dropped,
         "outcome_scaler": outcome,
     }
@@ -132,6 +134,7 @@ def load_model(path):
         block_scalers=block_scalers,
         outcome_scaler=None if outcome is None else OutcomeScaler(**outcome),
         variable_ids=manifest["variable_ids"],
+        sample_ids=manifest.get("sample_ids"),
         degenerate=tuple(manifest["degenerate"]),
     )
     report = None

@@ -24,8 +24,6 @@ from .predict import estimate_scores, predict
 from .selection import make_cv_plan, select_eta
 from .simulate import SimConfig, eigen_signal_report, generate, train_test_split
 
-DEFAULT_METHODS = ("sjive", "jive_predict", "concat_pca", "individual_pca")
-
 # Weights tried by ``eta="cv"``: a coarser grid than the CLI's, since every
 # replicate runs its own search.
 CV_ETA_GRID = (0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
@@ -38,7 +36,7 @@ class ReplicateResult:
     signal_sv: float
     noise_sv: float
     eta_used: float
-    unconverged: int  # fits (sJIVE, eta = 1 baseline) that stopped at max_iter
+    unconverged: int  # fits (sJIVE, eta = 1 baseline) that did not converge
 
 
 @dataclass
@@ -63,17 +61,18 @@ def run_replicate(
     rep: int,
     n_test: int | None = None,
     eta: float | str = 0.5,
-    methods=DEFAULT_METHODS,
     max_iter: int = 1000,
     tol: float = 1e-6,
 ) -> ReplicateResult:
     """One replicate: train on the first n samples, test on n_test more.
 
+    Scores sJIVE, JIVE.pred (the fit at eta = 1), PCA regression on the
+    concatenated blocks and on each block alone, keyed ``sjive``,
+    ``jive_predict``, ``concat_pca`` and ``individual_pca_<b>``.
     ``eta="cv"`` selects the weight per replicate by 5-fold CV on the
     training half, its fold fits bounded by ``max_iter`` and ``tol`` like
-    the final ones; a float uses that fixed weight. sJIVE and JIVE.pred (the
-    fit at eta = 1) are scored the same way. Baseline PCA ranks equal the
-    generating total rank.
+    the final ones; a float uses that fixed weight. sJIVE and JIVE.pred are
+    scored the same way. Baseline PCA ranks equal the generating total rank.
     """
     if n_test is None:
         n_test = sim_cfg.n
@@ -82,36 +81,31 @@ def run_replicate(
     train_x, train_y, test_x, test_y = train_test_split(data, y, sim_cfg.n)
     ranks = Ranks(sim_cfg.rank_joint, sim_cfg.rank_indiv)
     signal_sv, noise_sv = eigen_signal_report(truth)
-    mses: dict[str, float] = {}
-    eta_used = float("nan")
-    unconverged = 0
-    fits = {}
+    if eta == "cv":
+        plan = make_cv_plan(train_x.n, seed=total_cfg.seed)
+        eta_used, _ = select_eta(train_x, train_y, ranks, CV_ETA_GRID, plan,
+                                 max_iter=max_iter, tol=tol)
+    else:
+        eta_used = float(eta)
     cfg = FitConfig(eta=1.0, ranks=ranks, max_iter=max_iter, tol=tol)
-    if "sjive" in methods:
-        if eta == "cv":
-            plan = make_cv_plan(train_x.n, seed=total_cfg.seed)
-            eta_used, _ = select_eta(train_x, train_y, ranks, CV_ETA_GRID, plan,
-                                     max_iter=max_iter, tol=tol)
-        else:
-            eta_used = float(eta)
-        fits["sjive"] = fit(train_x, train_y, replace(cfg, eta=eta_used))
-    if "jive_predict" in methods:
-        fits["jive_predict"] = fit_jive_predict(train_x, train_y, ranks, cfg)
-    for method, (model, report) in fits.items():
-        unconverged += not report.converged
+    fits = {
+        "sjive": fit(train_x, train_y, replace(cfg, eta=eta_used)),
+        "jive_predict": fit_jive_predict(train_x, train_y, ranks, cfg),
+    }
+    mses: dict[str, float] = {}
+    for method, (model, _) in fits.items():
         est = estimate_scores(model, test_x)
         mses[method] = test_mse(test_y.values, predict(model, est, standardized=True))
     r_total = ranks.total
-    if "concat_pca" in methods:
-        bm = fit_pca_regression(train_x, train_y, r_total)
-        mses["concat_pca"] = test_mse(test_y.values, baseline_predict(bm, test_x))
-    if "individual_pca" in methods:
-        for b in range(train_x.k):
-            r_b = min(r_total, min(train_x.p[b], train_x.n))
-            bm = fit_pca_regression(train_x, train_y, r_b, block=b)
-            mses[f"individual_pca_{b + 1}"] = test_mse(
-                test_y.values, baseline_predict(bm, test_x)
-            )
+    bm = fit_pca_regression(train_x, train_y, r_total)
+    mses["concat_pca"] = test_mse(test_y.values, baseline_predict(bm, test_x))
+    for b in range(train_x.k):
+        r_b = min(r_total, min(train_x.p[b], train_x.n))
+        bm = fit_pca_regression(train_x, train_y, r_b, block=b)
+        mses[f"individual_pca_{b + 1}"] = test_mse(
+            test_y.values, baseline_predict(bm, test_x)
+        )
+    unconverged = sum(not report.converged for _, report in fits.values())
     return ReplicateResult(
         rep=rep, mses=mses, signal_sv=signal_sv, noise_sv=noise_sv, eta_used=eta_used,
         unconverged=unconverged,
@@ -165,7 +159,6 @@ def run_benchmark(
     reps: int,
     n_test: int | None = None,
     eta: float | str = 0.5,
-    methods=DEFAULT_METHODS,
     threads: int = 1,
     max_iter: int = 1000,
     tol: float = 1e-6,
@@ -178,16 +171,15 @@ def run_benchmark(
     differ from a serial run under threaded BLAS only by rounding (at most
     7e-15 relative on the MSEs at p = (150, 150), n = 150 on a 2-CPU VM).
     """
-    jobs = [(sim_cfg, r, n_test, eta, methods, max_iter, tol) for r in range(reps)]
+    jobs = [(sim_cfg, r, n_test, eta, max_iter, tol) for r in range(reps)]
     if threads > 1:
         results = map_single_threaded(_worker, jobs, workers=threads)
     else:
         results = [_worker(j) for j in jobs]
     unconverged = sum(r.unconverged for r in results)
     if unconverged:
-        fits = reps * sum(m in methods for m in ("sjive", "jive_predict"))
         warnings.warn(
-            f"{unconverged} of {fits} replicate fits stopped at max_iter without "
+            f"{unconverged} of {2 * reps} replicate fits stopped at max_iter without "
             "converging; their test MSEs may be off",
             RuntimeWarning,
             stacklevel=2,

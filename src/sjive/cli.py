@@ -122,16 +122,14 @@ def _parse_ranks(text: str, k: int) -> Ranks:
 
 def _fold_trace_rows(trace):
     n_folds = max((len(c["fold_mses"]) for c in trace.candidates), default=0)
-    header = ["candidate", "mean_mse"] + [f"fold{i + 1}_mse" for i in range(n_folds)]
+    header = ["candidate", "mean_mse", *(f"fold{i + 1}_mse" for i in range(n_folds)),
+              "unconverged"]
     rows = [
-        [c["candidate"], repr(c["mean_mse"]), *(repr(v) for v in c["fold_mses"])]
+        [c["candidate"], repr(c["mean_mse"]), *(repr(v) for v in c["fold_mses"]),
+         c["unconverged"]]
         for c in trace.candidates
     ]
     return header, rows
-
-
-def _ranks_text(ranks: Ranks) -> str:
-    return ",".join(str(r) for r in (ranks.joint, *ranks.individual))
 
 
 def _count_unconverged(reports) -> dict:
@@ -201,7 +199,7 @@ def _cmd_fit(args, outdir):
         "x": ";".join(args.x),
         "y": args.y,
         "eta": eta,
-        "ranks": _ranks_text(ranks),
+        "ranks": str(ranks),
         "tol": args.tol,
         "max_iter": args.max_iter,
         "converged": report.converged,
@@ -211,7 +209,7 @@ def _cmd_fit(args, outdir):
         **cv_counts,
     }
     summary = (
-        f"fit eta={eta:g} ranks=({_ranks_text(ranks)}) "
+        f"fit eta={eta:g} ranks=({ranks}) "
         f"objective={report.final_objective:.6g} "
         f"{'converged' if report.converged else 'NOT converged'} "
         f"after {report.iterations} iterations -> {outdir / 'model.zip'}"
@@ -254,9 +252,9 @@ def _cmd_select(args, outdir):
         ["eta", "rank_joint", *(f"rank_block{i + 1}" for i in range(raw.k))],
         [[eta, ranks.joint, *ranks.individual]],
     )
-    params = {"x": ";".join(args.x), "y": args.y, "eta": eta, "ranks": _ranks_text(ranks),
+    params = {"x": ";".join(args.x), "y": args.y, "eta": eta, "ranks": str(ranks),
               "eta_grid": ",".join(f"{g:g}" for g in grid), **_count_unconverged(reports)}
-    return params, args.seed, f"selected eta={eta:g}, ranks=({_ranks_text(ranks)}) -> {outdir}"
+    return params, args.seed, f"selected eta={eta:g}, ranks=({ranks}) -> {outdir}"
 
 
 def _cmd_benchmark(args, outdir):
@@ -320,7 +318,10 @@ def _cmd_evaluate(args, outdir):
         _write_rows(outdir / "metrics.csv", ["metric", "value"],
                     [["test_mse_standardized", repr(mse)], ["n", data.n]])
         outputs["test_mse"] = f"{mse:.6g}"
-        if data.n == model.n:
+        # The component scores are the training samples' scores.
+        if data.sample_ids != model.sample_ids:
+            outputs["inference"] = "skipped: samples are not the training samples"
+        else:
             rows = [
                 [c.name, c.rank, repr(c.partial_r2), repr(c.f_stat), repr(c.p_value)]
                 for c in component_inference(model, y_std)

@@ -44,6 +44,10 @@ class Ranks:
     def total(self) -> int:
         return self.joint + sum(self.individual)
 
+    def __str__(self) -> str:
+        """Comma-separated "joint,r_1,..,r_k", as ``--ranks`` spells them."""
+        return ",".join(str(r) for r in (self.joint, *self.individual))
+
     def validate_for(self, p: tuple[int, ...], n: int) -> None:
         if len(self.individual) != len(p):
             raise RankError(
@@ -92,7 +96,8 @@ class SJiveModel:
     ``theta_joint``/``theta_indiv`` are None for purely unsupervised fits.
     Standardization metadata from the training data rides along so new data
     can be transformed consistently and predictions mapped back to the raw
-    outcome scale.
+    outcome scale. ``sample_ids`` names the training samples, the columns of
+    the scores.
     """
 
     joint_loadings: list[np.ndarray]
@@ -106,6 +111,7 @@ class SJiveModel:
     block_scalers: list[BlockScaler] | None = None
     outcome_scaler: OutcomeScaler | None = None
     variable_ids: list[list[str]] | None = None
+    sample_ids: list[str] | None = None
     degenerate: tuple[str, ...] = ()
 
     @property
@@ -232,10 +238,16 @@ def _als(stacked, offsets, ranks: Ranks, max_iter: int, tol: float):
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        factors, parts, obj = _sweep(stacked, offsets, ranks, parts)
+        new_factors, new_parts, obj = _sweep(stacked, offsets, ranks, parts)
+        prev = trace[-1]
+        step = tol * max(prev, 1e-300)
+        if obj - prev > step and obj > floor:
+            # A rise beyond tol (and above the floor) is not convergence:
+            # keep the previous sweep's factors, report no convergence.
+            break
+        factors, parts = new_factors, new_parts
         trace.append(obj)
-        prev = trace[-2]
-        if prev - obj <= tol * max(prev, 1e-300) or obj <= floor:
+        if prev - obj <= step or obj <= floor:
             converged = True
             break
     return factors, trace, iterations, converged
@@ -273,6 +285,8 @@ def _build_model(factors, cfg: FitConfig, offsets, cbs, yvals, data, yscaler):
         block_scalers=data.standardization,
         outcome_scaler=yscaler,
         variable_ids=[list(v) for v in data.variable_ids],
+        # Shared, not copied: a model kept beside its data adds no list.
+        sample_ids=data.sample_ids,
     )
 
 
@@ -322,7 +336,9 @@ def fit(data, y, cfg: FitConfig, compress: bool = True):
     samples are never compressed.
     Returns (model, report); ``report.converged`` is False when the
     iteration budget ran out, in which case the best model so far is
-    returned.
+    returned, or when a sweep raised the objective by more than ``tol``
+    relative, in which case the model and ``objective_trace`` end at the
+    sweep before it.
     """
     data = _as_dataset(data)
     yvals, yscaler = _outcome_values(y)

@@ -21,6 +21,7 @@ on the thread count. Each call counts its fold fits that stopped at
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,13 +70,14 @@ class SelectionTrace:
     chosen: str = ""
     steps: list[dict] = field(default_factory=list)
 
-    def record(self, candidate: str, fold_mses: np.ndarray) -> float:
+    def record(self, candidate: str, fold_mses: np.ndarray, unconverged: int = 0) -> float:
         mean = float(np.mean(fold_mses))
         self.candidates.append(
             {
                 "candidate": candidate,
                 "mean_mse": mean,
                 "fold_mses": tuple(float(v) for v in fold_mses),
+                "unconverged": unconverged,
             }
         )
         return mean
@@ -178,8 +180,8 @@ def cv_fold_mses(
 
 
 class _Candidates:
-    """Cross-validates (eta, ranks) candidates on folds prepared once; a
-    candidate seen before returns its fold MSEs without refitting."""
+    """Fold MSEs and unconverged fold-fit count of (eta, ranks) candidates on
+    folds prepared once; a candidate seen before is not refitted."""
 
     def __init__(self, data, y, plan, max_iter, tol, policy, reports):
         if plan is None:
@@ -191,11 +193,13 @@ class _Candidates:
         self.reports = [] if reports is None else reports
         self._seen: dict = {}
 
-    def __call__(self, eta: float, ranks: Ranks) -> np.ndarray:
+    def __call__(self, eta: float, ranks: Ranks) -> tuple[np.ndarray, int]:
         key = (eta, ranks)
         if key not in self._seen:
             cfg = FitConfig(eta=eta, ranks=ranks, max_iter=self.max_iter, tol=self.tol)
-            self._seen[key] = cv_fold_mses(self.folds, cfg, self.reports)
+            start = len(self.reports)
+            mses = cv_fold_mses(self.folds, cfg, self.reports)
+            self._seen[key] = mses, sum(not r.converged for r in self.reports[start:])
         return self._seen[key]
 
 
@@ -225,7 +229,7 @@ def _search_eta(cv: _Candidates, ranks: Ranks, grid):
     trace = SelectionTrace()
     best_eta, best_mse = None, np.inf
     for g in grid:
-        mean = trace.record(f"eta={g:g}", cv(g, ranks))
+        mean = trace.record(f"eta={g:g}", *cv(g, ranks))
         if mean < best_mse:
             best_eta, best_mse = g, mean
     trace.chosen = f"eta={best_eta:g}"
@@ -259,29 +263,27 @@ def select_eta(
 
 
 def _rank_candidates(ranks: Ranks, p, n_train_min: int):
-    """Feasible one-step increments, joint first then blocks in order."""
+    """One-step increments that fit every fold, joint first then blocks in order."""
     cands = []
-    if ranks.joint + 1 <= min(n_train_min, *p):
-        cands.append(("joint", Ranks(ranks.joint + 1, ranks.individual)))
-    for i, (r, pi) in enumerate(zip(ranks.individual, p)):
-        if r + 1 <= min(n_train_min, pi):
-            ind = list(ranks.individual)
-            ind[i] += 1
-            cands.append((f"block{i + 1}", Ranks(ranks.joint, tuple(ind))))
+    for i, label in enumerate(["joint", *(f"block{b + 1}" for b in range(len(p)))]):
+        joint, *ind = (v + (j == i) for j, v in enumerate((ranks.joint, *ranks.individual)))
+        cand = Ranks(joint, tuple(ind))
+        with suppress(RankError):
+            cand.validate_for(p, n_train_min)
+            cands.append((label, cand))
     return cands
 
 
 def _search_ranks(cv: _Candidates, eta: float):
     trace = SelectionTrace()
     ranks = Ranks(0, (0,) * cv.k)
-    best_mse = trace.record("(0" + ",0" * cv.k + ")", cv(eta, ranks))
+    best_mse = trace.record(f"({ranks})", *cv(eta, ranks))
     rounds = 0
     while True:
         rounds += 1
         best_step = None
         for label, cand in _rank_candidates(ranks, cv.p, cv.n_train_min):
-            name = f"round{rounds}:{label}->" + _fmt_ranks(cand)
-            mean = trace.record(name, cv(eta, cand))
+            mean = trace.record(f"round{rounds}:{label}->({cand})", *cv(eta, cand))
             if best_step is None or mean < best_step[0]:
                 best_step = (mean, label, cand)
         if best_step is None:
@@ -291,11 +293,11 @@ def _search_ranks(cv: _Candidates, eta: float):
             ranks = cand
             best_mse = mean
             trace.steps.append(
-                {"round": rounds, "accepted": label, "ranks": _fmt_ranks(ranks), "mean_mse": mean}
+                {"round": rounds, "accepted": label, "ranks": f"({ranks})", "mean_mse": mean}
             )
         else:
             break
-    trace.chosen = _fmt_ranks(ranks)
+    trace.chosen = f"({ranks})"
     return ranks, trace
 
 
@@ -320,10 +322,6 @@ def select_ranks(
     if reports is None:
         warn_unconverged(cv.reports)
     return ranks, trace
-
-
-def _fmt_ranks(ranks: Ranks) -> str:
-    return "(" + ",".join(str(v) for v in (ranks.joint, *ranks.individual)) + ")"
 
 
 def select_model(

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import Ranks
 from .data import MultiSourceDataset, Outcome
-from .errors import ConfigError, DegeneracyError
+from .errors import ConfigError, DegeneracyError, RankError
 from .linalg import proj_complement_rows, qr_orthonormalize, unit_frame
 
 
@@ -58,16 +59,10 @@ class SimConfig:
             raise ConfigError("noise fractions must lie in [0, 1)")
         if not 0.0 < self.r_prop <= 1.0:
             raise ConfigError("r_prop must lie in (0, 1]")
-        if self.rank_joint < 0 or any(r < 0 for r in self.rank_indiv):
-            raise ConfigError("ranks must be nonnegative")
-        cap = min(self.n, *self.p)
-        if self.rank_joint > cap:
-            raise ConfigError(f"joint rank {self.rank_joint} exceeds min(n, p_i) = {cap}")
-        for i, (r, pi) in enumerate(zip(self.rank_indiv, self.p)):
-            if r > min(self.n, pi):
-                raise ConfigError(
-                    f"block {i + 1} rank {r} exceeds min(n, p_{i + 1}) = {min(self.n, pi)}"
-                )
+        try:
+            Ranks(self.rank_joint, self.rank_indiv).validate_for(self.p, self.n)
+        except RankError as exc:
+            raise ConfigError(str(exc)) from None
         n_pred = self._n_predictive(self.rank_joint) + sum(
             self._n_predictive(r) for r in self.rank_indiv
         )
@@ -80,14 +75,10 @@ class SimConfig:
     def _n_predictive(self, r: int) -> int:
         return math.ceil(self.r_prop * r) if r > 0 else 0
 
-    @property
-    def total_rank(self) -> int:
-        return self.rank_joint + sum(self.rank_indiv)
-
 
 @dataclass
 class SimTruth:
-    """Every generated component, on the same scale as the returned data."""
+    """Generated factors and noise, on the scale of the returned data."""
 
     joint_loadings: list[np.ndarray]
     joint_scores: np.ndarray
@@ -97,23 +88,30 @@ class SimTruth:
     theta_indiv: list[np.ndarray]
     noise_blocks: list[np.ndarray]
     noise_outcome: np.ndarray
-    joint_structure: list[np.ndarray]
-    indiv_structure: list[np.ndarray]
-    outcome_joint: np.ndarray
-    outcome_indiv: np.ndarray
     # Orthonormal stacked frames as produced by the QR step, before any
     # variance scaling; kept for invariant checks.
     ortho_joint_frame: np.ndarray = field(repr=False, default=None)
     ortho_indiv_frames: list[np.ndarray] = field(repr=False, default=None)
 
+    @property
+    def joint_structure(self) -> list[np.ndarray]:
+        return [u @ self.joint_scores for u in self.joint_loadings]
+
+    @property
+    def indiv_structure(self) -> list[np.ndarray]:
+        return [w @ s for w, s in zip(self.indiv_loadings, self.indiv_scores)]
+
+    @property
+    def outcome_joint(self) -> np.ndarray:
+        return self.theta_joint @ self.joint_scores
+
+    @property
+    def outcome_indiv(self) -> np.ndarray:
+        parts = (t @ s for t, s in zip(self.theta_indiv, self.indiv_scores))
+        return sum(parts, np.zeros(self.joint_scores.shape[1]))
+
     def stacked_joint(self) -> np.ndarray:
         return np.vstack(self.joint_structure)
-
-    def stacked_indiv(self) -> np.ndarray:
-        return np.vstack(self.indiv_structure)
-
-    def stacked_signal(self) -> np.ndarray:
-        return self.stacked_joint() + self.stacked_indiv()
 
 
 def _draft_frame(rng, rows: int, rank: int, n_pred: int):
@@ -231,13 +229,6 @@ def generate(cfg: SimConfig):
         if cfg.rank_indiv[i] > 0:
             (W[i],), S_i[i], theta2[i] = unit_frame([W[i]], S_i[i], theta2[i])
 
-    joint_structure = [u @ S_J for u in U]
-    indiv_structure = [w @ s for w, s in zip(W, S_i)]
-    outcome_joint = theta1 @ S_J
-    outcome_indiv = np.zeros(n)
-    for t, s in zip(theta2, S_i):
-        outcome_indiv = outcome_indiv + t @ s
-
     truth = SimTruth(
         joint_loadings=U,
         joint_scores=S_J,
@@ -247,10 +238,6 @@ def generate(cfg: SimConfig):
         theta_indiv=theta2,
         noise_blocks=noise,
         noise_outcome=E_y,
-        joint_structure=joint_structure,
-        indiv_structure=indiv_structure,
-        outcome_joint=outcome_joint,
-        outcome_indiv=outcome_indiv,
         ortho_joint_frame=joint_frame,
         ortho_indiv_frames=indiv_frames,
     )
@@ -268,8 +255,9 @@ def eigen_signal_report(truth: SimTruth, data: MultiSourceDataset | None = None)
     noise value, rank-revealing methods start absorbing noise directions
     instead of signal.
     """
+    indiv = truth.indiv_structure
     if data is not None:
-        recon = truth.stacked_signal() + np.vstack(truth.noise_blocks)
+        recon = truth.stacked_joint() + np.vstack(indiv) + np.vstack(truth.noise_blocks)
         if not np.allclose(recon, np.vstack(data.blocks), atol=1e-8):
             raise DegeneracyError("truth does not reproduce the supplied data")
 
@@ -277,7 +265,7 @@ def eigen_signal_report(truth: SimTruth, data: MultiSourceDataset | None = None)
         return max((float(np.linalg.svd(m, compute_uv=False)[0])
                     for m in mats if m.size and np.any(m)), default=0.0)
 
-    signal_sv = top_sv([truth.stacked_joint(), *truth.indiv_structure])
+    signal_sv = top_sv([truth.stacked_joint(), *indiv])
     noise_sv = top_sv(truth.noise_blocks)
     return signal_sv, noise_sv
 

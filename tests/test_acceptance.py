@@ -85,22 +85,19 @@ def test_criterion_3_published_mse_table_desk_scale():
     base = dict(k=2, p=(200, 200), n=200, rank_joint=1, rank_indiv=(1, 1))
     # (a) low noise in X and y
     res_a = run_benchmark(SimConfig(**base, x_err=0.10, y_err=0.10, seed=1000),
-                          reps=10, n_test=200, eta=0.5,
-                          methods=("sjive", "jive_predict"))
+                          reps=10, n_test=200, eta=0.5)
     mean_a = res_a.mean_mses()["sjive"]
     ok_a = abs(mean_a - 0.1068) <= 0.03
     # (b) mid X noise: supervised fit should win most replicates
     res_b = run_benchmark(SimConfig(**base, x_err=0.50, y_err=0.10, seed=2000),
-                          reps=10, n_test=200, eta=0.5,
-                          methods=("sjive", "jive_predict"))
+                          reps=10, n_test=200, eta=0.5)
     mean_b = res_b.mean_mses()["sjive"]
     tab = res_b.mse_table()
     wins_b = int(np.sum(tab["sjive"] < tab["jive_predict"]))
     ok_b = abs(mean_b - 0.1439) <= 0.03 and wins_b >= 7
     # (c) X noise beyond the detectability threshold
     res_c = run_benchmark(SimConfig(**base, x_err=0.999, y_err=0.90, seed=3100),
-                          reps=10, n_test=200, eta=0.5,
-                          methods=("sjive", "jive_predict"))
+                          reps=10, n_test=200, eta=0.5)
     means_c = res_c.mean_mses()
     ok_c = means_c["sjive"] >= 0.95 and means_c["jive_predict"] >= 0.95
     ok = ok_a and ok_b and ok_c

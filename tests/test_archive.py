@@ -35,6 +35,7 @@ def test_model_roundtrip_bitwise(fitted, tmp_path):
     assert np.array_equal(model.theta_joint, loaded.theta_joint)
     assert loaded.eta == model.eta
     assert loaded.ranks == model.ranks
+    assert loaded.sample_ids == model.sample_ids == data.sample_ids
     # predictions are reproduced bit for bit
     est_a = estimate_scores(model, data)
     est_b = estimate_scores(loaded, data)
@@ -79,6 +80,47 @@ def test_truth_roundtrip(fitted, tmp_path):
     for a, b in zip(loaded.indiv_structure, truth.indiv_structure):
         assert np.array_equal(a, b)
     assert np.array_equal(loaded.noise_outcome, truth.noise_outcome)
+
+
+def test_truth_archive_holds_factors_and_reads_older_products(fitted, tmp_path):
+    _, _, truth, _, _ = fitted
+    path = tmp_path / "truth.zip"
+    save_truth(truth, path)
+    with np.load(path) as npz:
+        assert not any(name.startswith(("joint_structure", "indiv_structure", "outcome_"))
+                       for name in npz.files)
+    # Older archives also stored the structures and outcome parts.
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    products = {"outcome_joint": truth.outcome_joint, "outcome_indiv": truth.outcome_indiv}
+    for i in range(2):
+        products[f"joint_structure_{i + 1}"] = truth.joint_structure[i]
+        products[f"indiv_structure_{i + 1}"] = truth.indiv_structure[i]
+    old = tmp_path / "old_truth.zip"
+    with open(old, "wb") as fh:
+        np.savez(fh, **arrays, **products)
+    loaded = load_truth(old)
+    for name in ("joint_structure", "indiv_structure"):
+        for a, b in zip(getattr(loaded, name), getattr(truth, name)):
+            assert np.array_equal(a, b)
+    assert np.array_equal(loaded.outcome_joint, truth.outcome_joint)
+    assert np.array_equal(loaded.outcome_indiv, truth.outcome_indiv)
+
+
+def test_model_archive_without_sample_ids_loads_none(fitted, tmp_path):
+    # Format version 2 archives written before sample ids were stored.
+    _, _, _, model, _ = fitted
+    path = tmp_path / "model.zip"
+    save_model(model, path)
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    manifest = json.loads(str(arrays.pop("manifest")))
+    del manifest["sample_ids"]
+    with open(path, "wb") as fh:
+        np.savez(fh, manifest=np.array(json.dumps(manifest)), **arrays)
+    loaded, _ = load_model(path)
+    assert loaded.sample_ids is None
+    assert np.array_equal(loaded.joint_scores, model.joint_scores)
 
 
 def test_wrong_kind_rejected(fitted, tmp_path):

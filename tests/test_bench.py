@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -14,9 +13,8 @@ from sjive.simulate import SimConfig
 def test_run_benchmark_workers_match_serial():
     cfg = SimConfig(k=2, p=(10, 8), n=16, rank_joint=1, rank_indiv=(1, 1),
                     x_err=0.3, y_err=0.2, seed=31)
-    serial = run_benchmark(cfg, reps=3, methods=("sjive", "concat_pca"), max_iter=200)
-    pooled = run_benchmark(cfg, reps=3, methods=("sjive", "concat_pca"), max_iter=200,
-                           threads=2)
+    serial = run_benchmark(cfg, reps=3, max_iter=200)
+    pooled = run_benchmark(cfg, reps=3, max_iter=200, threads=2)
     assert pooled.methods == serial.methods
     assert [r.rep for r in pooled.replicates] == [0, 1, 2]
     assert [r.mses for r in pooled.replicates] == [r.mses for r in serial.replicates]
@@ -26,13 +24,8 @@ def test_run_benchmark_counts_unconverged_fits():
     cfg = SimConfig(k=2, p=(10, 8), n=16, rank_joint=1, rank_indiv=(1, 1),
                     x_err=0.3, y_err=0.2, seed=31)
     with pytest.warns(RuntimeWarning, match="4 of 4 replicate fits stopped at max_iter"):
-        result = run_benchmark(cfg, reps=2, methods=("sjive", "jive_predict", "concat_pca"),
-                               max_iter=1)
+        result = run_benchmark(cfg, reps=2, max_iter=1)
     assert [r.unconverged for r in result.replicates] == [2, 2]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = run_benchmark(cfg, reps=2, methods=("concat_pca",), max_iter=1)
-    assert [r.unconverged for r in result.replicates] == [0, 0]
 
 
 _UNGUARDED_SCRIPT = """\
@@ -41,7 +34,7 @@ from sjive.simulate import SimConfig
 
 cfg = SimConfig(k=2, p=(20, 20), n=20, rank_joint=1, rank_indiv=(1, 1),
                 x_err=0.3, y_err=0.2, seed=5)
-result = run_benchmark(cfg, reps=2, methods=("sjive",), max_iter=50, threads=2)
+result = run_benchmark(cfg, reps=2, max_iter=50, threads=2)
 print(result.mean_mses())
 """
 
@@ -67,6 +60,6 @@ def test_run_replicate_cv_passes_convergence_settings_to_fold_fits(fit_configs):
 
     cfg = SimConfig(k=2, p=(10, 8), n=20, rank_joint=1, rank_indiv=(1, 1),
                     x_err=0.3, y_err=0.2, seed=31)
-    run_replicate(cfg, 0, eta="cv", methods=("sjive", "jive_predict"), max_iter=7, tol=1e-3)
+    run_replicate(cfg, 0, eta="cv", max_iter=7, tol=1e-3)
     assert len(fit_configs) == 5 * len(CV_ETA_GRID) + 2
     assert {(c.max_iter, c.tol) for c in fit_configs} == {(7, 1e-3)}

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import sjive
 from sjive.cli import main
-from sjive.data import load_csv
+from sjive.data import load_csv, write_csv
 
 SIM_CFG = """[simulation]
 k = 2
@@ -208,8 +209,8 @@ def test_select_command(tmp_path):
     # direction explains most of the outcome; it must pick at least one
     assert sum(ranks) >= 1
     trace = _read_rows(seldir / "rank_trace.csv")
-    assert trace[0][:2] == ["candidate", "mean_mse"]
-    assert len(trace[0]) == 2 + 5  # five fold columns
+    assert trace[0] == ["candidate", "mean_mse", *(f"fold{f}_mse" for f in range(1, 6)),
+                        "unconverged"]
 
 
 def test_cli_error_paths(tmp_path):
@@ -375,6 +376,67 @@ def test_select_manifest_counts_unconverged_fold_fits(simdir, tmp_path):
                "--y", str(data / "y.csv"), "--ranks", "1,1,1", "--out", str(tmp_path / "fit")])
     assert rc == 0
     assert "unconverged_fits" not in (tmp_path / "fit" / "manifest.txt").read_text(encoding="utf-8")
+
+
+def test_select_traces_count_unconverged_fold_fits(simdir, tmp_path, monkeypatch):
+    # select has no --max-iter, so its fold fits get a one-sweep budget here.
+    import sjive.selection as selection
+
+    real_fit = selection.fit
+    monkeypatch.setattr(selection, "fit",
+                        lambda data, y, cfg: real_fit(data, y, replace(cfg, max_iter=1)))
+    _, data = simdir
+    sel = tmp_path / "sel"
+    with pytest.warns(RuntimeWarning, match="cross-validation fold fits stopped"):
+        rc = main(["select", "--x", str(data / "X1.csv"), "--x", str(data / "X2.csv"),
+                   "--y", str(data / "y.csv"), "--eta-grid", "0.25,0.5", "--out", str(sel)])
+    assert rc == 0
+    traces = [_read_rows(sel / name) for name in ("rank_trace.csv", "eta_trace.csv")]
+    counts = []
+    for rows in traces:
+        assert rows[0][-1] == "unconverged"
+        counts.append({r[0]: int(r[-1]) for r in rows[1:]})
+    assert all(0 <= c <= 5 for trace in counts for c in trace.values())
+    # The weight search reuses the rank search's choice at eta 0.5 and its count.
+    chosen = _manifest_value(sel, "ranks")
+    reused = next(c for name, c in counts[0].items() if name.endswith(f"({chosen})"))
+    assert counts[1]["eta=0.5"] == reused
+    total = sum(counts[0].values()) + sum(counts[1].values()) - reused
+    assert 0 < total == int(_manifest_value(sel, "unconverged_fits"))
+
+
+def _split_samples(src, dst, cols):
+    """Copy the simulated CSVs in ``src`` to ``dst``, keeping sample columns
+    ``cols``."""
+    dst.mkdir()
+    for name in ("X1.csv", "X2.csv", "y.csv"):
+        mat = load_csv(src / name)
+        write_csv(dst / name, mat.values[:, list(cols)], mat.row_ids, [mat.col_ids[j] for j in cols])
+
+
+def test_evaluate_infers_only_on_the_training_samples(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CFG.replace("n = 24", "n = 40").replace("seed = 5", "seed = 3"),
+                   encoding="utf-8")
+    full = tmp_path / "full"
+    assert main(["simulate", "--config", str(cfg), "--out", str(full)]) == 0
+    train, held_out = tmp_path / "train", tmp_path / "held_out"
+    _split_samples(full, train, range(20))
+    _split_samples(full, held_out, range(20, 40))
+    model = tmp_path / "fit" / "model.zip"
+    assert main(["fit", "--x", str(train / "X1.csv"), "--x", str(train / "X2.csv"),
+                 "--y", str(train / "y.csv"), "--ranks", "1,1,1",
+                 "--out", str(model.parent)]) == 0
+    for data, inferred in ((train, True), (held_out, False)):
+        out = tmp_path / f"eval_{data.name}"
+        assert main(["evaluate", "--model", str(model), "--x", str(data / "X1.csv"),
+                     "--x", str(data / "X2.csv"), "--y", str(data / "y.csv"),
+                     "--out", str(out)]) == 0
+        assert (out / "metrics.csv").exists()
+        assert (out / "inference.csv").exists() is inferred
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        skipped = "inference = skipped: samples are not the training samples" in manifest
+        assert skipped is not inferred
 
 
 def test_evaluate_truth_with_a_zero_individual_rank(tmp_path):

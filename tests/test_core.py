@@ -254,6 +254,37 @@ def test_fit_max_iter_flag():
     assert model.joint_scores.shape == (1, 12)
 
 
+@pytest.mark.parametrize("third, trace, converged", [
+    (4.5, [5.0, 4.0], False),  # a rise beyond tol: the risen sweep is dropped
+    (4.000001, [5.0, 4.0, 4.000001], True),  # a rise within tol * 4 counts as a stall
+])
+def test_rising_sweep_is_not_convergence(monkeypatch, third, trace, converged):
+    rng = np.random.default_rng(13)
+    blocks = [rng.normal(size=(6, 10)), rng.normal(size=(5, 10))]
+    y = rng.normal(size=10)
+    objectives = iter([5.0, 4.0, third])
+    sweeps, built = [], []
+    real_sweep, real_build = core._sweep, core._build_model
+
+    def sweep(*args):
+        factors, parts, _ = real_sweep(*args)
+        sweeps.append(factors)
+        return factors, parts, next(objectives)
+
+    def build(factors, *args):
+        built.append(factors)
+        return real_build(factors, *args)
+
+    monkeypatch.setattr(core, "_sweep", sweep)
+    monkeypatch.setattr(core, "_build_model", build)
+    _, report = fit(blocks, y, FitConfig(eta=0.5, ranks=Ranks(1, (1, 1))))
+    assert report.objective_trace == trace
+    assert report.final_objective == trace[-1]
+    assert report.converged is converged
+    assert len(sweeps) == 3 and len(built) == 1
+    assert built[0] is sweeps[len(trace) - 1]
+
+
 def test_fit_rejects_constant_outcome():
     rng = np.random.default_rng(12)
     blocks = [rng.normal(size=(5, 8))]

@@ -2,22 +2,28 @@ import numpy as np
 import pytest
 
 from sjive.core import FitConfig, Ranks, fit
-from sjive.errors import ConfigError
+from sjive.errors import ConfigError, RankError
 from sjive.simulate import SimConfig, eigen_signal_report, generate, train_test_split
 
 
+_BASE_CFG = dict(k=1, p=(10,), n=20, rank_joint=1, rank_indiv=(1,))
+
+
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        SimConfig(k=2, p=(10,), n=20, rank_joint=1, rank_indiv=(1, 1))
-    with pytest.raises(ConfigError):
-        SimConfig(k=1, p=(10,), n=20, rank_joint=1, rank_indiv=(1,), x_err=1.0)
-    with pytest.raises(ConfigError):
-        SimConfig(k=1, p=(10,), n=20, rank_joint=1, rank_indiv=(1,), r_prop=0.0)
-    with pytest.raises(ConfigError):
-        SimConfig(k=1, p=(10,), n=20, rank_joint=25, rank_indiv=(1,))
-    # all ranks zero cannot produce a partly predictable outcome
-    with pytest.raises(ConfigError):
-        SimConfig(k=1, p=(10,), n=20, rank_joint=0, rank_indiv=(0,), y_err=0.5)
+    for changes in (dict(k=2, rank_indiv=(1, 1)), dict(x_err=1.0), dict(r_prop=0.0),
+                    # all ranks zero cannot produce a partly predictable outcome
+                    dict(rank_joint=0, rank_indiv=(0,), y_err=0.5)):
+        with pytest.raises(ConfigError):
+            SimConfig(**{**_BASE_CFG, **changes})
+    # A rank error carries the text of Ranks.validate_for, which states the rule.
+    for changes in (dict(rank_joint=25), dict(rank_joint=-1),
+                    dict(k=2, p=(10, 30), rank_indiv=(1, 25)), dict(n=8, rank_indiv=(9,))):
+        kwargs = {**_BASE_CFG, **changes}
+        with pytest.raises(RankError) as expected:
+            Ranks(kwargs["rank_joint"], kwargs["rank_indiv"]).validate_for(kwargs["p"], kwargs["n"])
+        with pytest.raises(ConfigError) as err:
+            SimConfig(**kwargs)
+        assert str(err.value) == str(expected.value)
 
 
 def test_noiseless_has_zero_noise():
