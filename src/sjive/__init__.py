@@ -57,9 +57,7 @@ from .selection import (
     CvPlan,
     SelectionTrace,
     make_cv_plan,
-    select_eta,
     select_model,
-    select_ranks,
 )
 from .simulate import SimConfig, SimTruth, eigen_signal_report, generate, train_test_split
 
@@ -110,9 +108,7 @@ __all__ = [
     "rescale_identifiable",
     "save_model",
     "save_truth",
-    "select_eta",
     "select_model",
-    "select_ranks",
     "standardize",
     "standardize_with",
     "test_mse",

@@ -21,7 +21,7 @@ from .core import FitConfig, Ranks, fit
 from .linalg import BLAS_THREAD_VARS
 from .metrics import test_mse, win_rate
 from .predict import estimate_scores, predict
-from .selection import make_cv_plan, select_eta
+from .selection import make_cv_plan, select_model
 from .simulate import SimConfig, eigen_signal_report, generate, train_test_split
 
 # Weights tried by ``eta="cv"``: a coarser grid than the CLI's, since every
@@ -83,8 +83,8 @@ def run_replicate(
     signal_sv, noise_sv = eigen_signal_report(truth)
     if eta == "cv":
         plan = make_cv_plan(train_x.n, seed=total_cfg.seed)
-        eta_used, _ = select_eta(train_x, train_y, ranks, CV_ETA_GRID, plan,
-                                 max_iter=max_iter, tol=tol)
+        eta_used, *_ = select_model(train_x, train_y, plan, CV_ETA_GRID, ranks,
+                                    max_iter=max_iter, tol=tol)
     else:
         eta_used = float(eta)
     cfg = FitConfig(eta=1.0, ranks=ranks, max_iter=max_iter, tol=tol)

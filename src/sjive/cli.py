@@ -32,14 +32,7 @@ from .data import (
 from .errors import ConfigError, ParseError, SJiveError
 from .metrics import component_inference, meta_loadings, recovery_error, test_mse
 from .predict import estimate_scores, predict
-from .selection import (
-    DEFAULT_ETA_GRID,
-    make_cv_plan,
-    select_eta,
-    select_model,
-    select_ranks,
-    warn_unconverged,
-)
+from .selection import DEFAULT_ETA_GRID, make_cv_plan, select_model, warn_unconverged
 from .simulate import SimConfig, generate
 
 
@@ -98,25 +91,35 @@ def _write_rows(path, header, rows):
             writer.writerow(row)
 
 
-def _load_dataset(paths, samples_in_rows=False) -> MultiSourceDataset:
-    mats = [load_csv(p, samples_in_rows=samples_in_rows) for p in paths]
-    return MultiSourceDataset.from_labeled(mats)
-
-
-def _load_outcome(path, samples_in_rows=False):
-    mat = load_csv(path, samples_in_rows=samples_in_rows)
+def _read_inputs(args) -> tuple[MultiSourceDataset, Outcome | None]:
+    """The ``--x`` blocks and the ``--y`` outcome (None without one), whose
+    sample ids must equal the blocks'."""
+    mats = [load_csv(p, samples_in_rows=args.samples_as_rows) for p in args.x]
+    raw = MultiSourceDataset.from_labeled(mats)
+    if args.y is None:
+        return raw, None
+    mat = load_csv(args.y, samples_in_rows=args.samples_as_rows)
     if mat.values.shape[0] != 1:
-        raise ParseError(f"{path}: outcome file must contain exactly one variable row")
-    return Outcome(mat.values[0]), mat.col_ids
+        raise ParseError(f"{args.y}: outcome file must contain exactly one variable row")
+    if mat.col_ids != raw.sample_ids:
+        raise ParseError("outcome sample ids do not match the block sample ids")
+    return raw, Outcome(mat.values[0])
+
+
+def _number(flag: str, text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{flag}: {text!r} is not a number") from None
 
 
 def _parse_ranks(text: str, k: int) -> Ranks:
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != k + 1:
         raise ConfigError(
             f"--ranks needs {k + 1} comma-separated values (joint,r1..r{k}), got {text!r}"
         )
-    vals = [int(p) for p in parts]
+    vals = [_number("--ranks", p, int) for p in parts]
     return Ranks(vals[0], tuple(vals[1:]))
 
 
@@ -140,11 +143,12 @@ def _count_unconverged(reports) -> dict:
 
 
 def _load_and_score(args):
-    """Model, new data standardized with its training moments, and scores."""
+    """Model, new data standardized with its training moments, the raw
+    outcome (None without ``--y``), and scores."""
     model, _ = load_model(args.model)
-    raw = _load_dataset(args.x, samples_in_rows=args.samples_as_rows)
+    raw, y_raw = _read_inputs(args)
     data = standardize_with(raw, model.block_scalers) if model.block_scalers else raw
-    return model, data, estimate_scores(model, data)
+    return model, data, y_raw, estimate_scores(model, data)
 
 
 def _cmd_simulate(args, outdir):
@@ -159,29 +163,19 @@ def _cmd_simulate(args, outdir):
 
 
 def _cmd_fit(args, outdir):
-    raw = _load_dataset(args.x, samples_in_rows=args.samples_as_rows)
-    y_raw, y_ids = _load_outcome(args.y, samples_in_rows=args.samples_as_rows)
-    if y_ids != raw.sample_ids:
-        raise ParseError("outcome sample ids do not match the block sample ids")
+    raw, y_raw = _read_inputs(args)
     policy = "drop" if args.drop_constant else "error"
     data, y = standardize(raw, y_raw, policy=policy)
+    eta = None if args.eta == "auto" else _number("--eta", args.eta)
+    ranks = None if args.ranks == "auto" else _parse_ranks(args.ranks, data.k)
     cv_counts = {}
-    if args.ranks == "auto" or args.eta == "auto":
-        plan = make_cv_plan(data.n, seed=args.seed)
+    if eta is None or ranks is None:
+        grid = DEFAULT_ETA_GRID if eta is None else (eta,)
         reports: list = []
-        common = dict(max_iter=args.max_iter, tol=args.tol, policy=policy, reports=reports)
-        if args.ranks == "auto" and args.eta == "auto":
-            eta, ranks, *_ = select_model(raw, y_raw, plan, **common)
-        elif args.ranks == "auto":
-            eta = float(args.eta)
-            ranks, _ = select_ranks(raw, y_raw, eta, plan, **common)
-        else:
-            ranks = _parse_ranks(args.ranks, data.k)
-            eta, _ = select_eta(raw, y_raw, ranks, DEFAULT_ETA_GRID, plan, **common)
+        eta, ranks, *_ = select_model(raw, y_raw, make_cv_plan(data.n, seed=args.seed), grid,
+                                      ranks, max_iter=args.max_iter, tol=args.tol,
+                                      policy=policy, reports=reports)
         cv_counts = _count_unconverged(reports)
-    else:
-        ranks = _parse_ranks(args.ranks, data.k)
-        eta = float(args.eta)
     cfg = FitConfig(eta=eta, ranks=ranks, max_iter=args.max_iter, tol=args.tol)
     model, report = fit(data, y, cfg)
     save_model(model, outdir / "model.zip", report)
@@ -218,7 +212,7 @@ def _cmd_fit(args, outdir):
 
 
 def _cmd_predict(args, outdir):
-    model, data, est = _load_and_score(args)
+    model, data, _, est = _load_and_score(args)
     columns = [predict(model, est), model.theta_joint @ est.joint_scores]
     columns += [th @ s for th, s in zip(model.theta_indiv, est.indiv_scores)]
     header = ["predicted", "contrib_joint"] + [f"contrib_block{i + 1}" for i in range(model.k)]
@@ -230,11 +224,10 @@ def _cmd_predict(args, outdir):
 
 
 def _cmd_select(args, outdir):
-    raw = _load_dataset(args.x, samples_in_rows=args.samples_as_rows)
-    y_raw, _ = _load_outcome(args.y, samples_in_rows=args.samples_as_rows)
+    raw, y_raw = _read_inputs(args)
     plan = make_cv_plan(raw.n, seed=args.seed)
     grid = (
-        tuple(float(v) for v in args.eta_grid.split(","))
+        tuple(_number("--eta-grid", v) for v in args.eta_grid.split(","))
         if args.eta_grid
         else DEFAULT_ETA_GRID
     )
@@ -262,7 +255,7 @@ def _cmd_benchmark(args, outdir):
     from .bench import run_benchmark
 
     sim_cfg, n_test = _read_sim_config(args.config, args.seed)
-    eta = "cv" if args.eta == "cv" else float(args.eta)
+    eta = "cv" if args.eta == "cv" else _number("--eta", args.eta)
     result = run_benchmark(
         sim_cfg,
         reps=args.reps,
@@ -301,17 +294,15 @@ def _cmd_benchmark(args, outdir):
 
 
 def _cmd_evaluate(args, outdir):
-    model, data, est = _load_and_score(args)
+    model, data, y_raw, est = _load_and_score(args)
     yhat_raw = predict(model, est)
     outputs = {}
-    if args.y:
-        y_raw, _ = _load_outcome(args.y, samples_in_rows=args.samples_as_rows)
+    if y_raw is not None:
         if model.outcome_scaler is not None:
             y_std = standardize_outcome_with(y_raw.values, model.outcome_scaler)
             yhat_std = predict(model, est, standardized=True)
         else:
             y_std, yhat_std = y_raw.values, yhat_raw
-        # Scored first, so an outcome of the wrong length writes no file.
         mse = test_mse(y_std, yhat_std)
         write_csv(outdir / "predictions_scatter.csv", np.column_stack([y_raw.values, yhat_raw]),
                   data.sample_ids, ["y_true", "y_pred"], corner="sample_id")
@@ -336,7 +327,7 @@ def _cmd_evaluate(args, outdir):
         for i, m in enumerate(meta_loadings(model)):
             write_csv(outdir / f"meta_loadings_block{i + 1}.csv", m[:, None], var_ids[i],
                       ["meta_loading"], corner="variable_id")
-    train_ids = [f"s{j + 1}" for j in range(model.n)]
+    train_ids = model.sample_ids or [f"s{j + 1}" for j in range(model.n)]
     joint, indiv = model.joint_structure(), model.individual_structure()
     for i in range(model.k):
         write_csv(outdir / f"heatmap_joint_block{i + 1}.csv", joint[i], var_ids[i], train_ids)
@@ -397,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--x", action="append", required=True)
     p_pred.add_argument("--out", required=True)
     add_common(p_pred)
-    p_pred.set_defaults(func=_cmd_predict)
+    p_pred.set_defaults(func=_cmd_predict, y=None)
 
     p_sel = sub.add_parser("select", help="cross-validated weight and rank selection")
     p_sel.add_argument("--x", action="append", required=True)

@@ -10,12 +10,15 @@ tries incrementing the joint rank and each block rank by one, keeps the
 single increment with the largest drop in mean CV MSE, and stops once no
 increment improves the best MSE by more than a small threshold.
 
-Each ``select_*`` call standardizes every fold once (``prepare_folds``) and
-reuses it for every candidate. The folds of one candidate are fitted side by
-side on ``linalg.parallel_workers()`` threads, which is 1 (a serial loop)
-unless a BLAS thread variable leaves CPUs free; the results do not depend
-on the thread count. Each call counts its fold fits that stopped at
-``max_iter`` without converging and reports the count in one RuntimeWarning.
+``select_model`` is the one entry point: it searches the ranks (or takes
+them as given), then the weight over a grid; a one-weight grid fixes the
+weight and the ranks are searched at it. Each call standardizes every fold
+once (``prepare_folds``) and reuses it for every candidate. The folds of
+one candidate are fitted side by side on ``linalg.parallel_workers()``
+threads, which is 1 (a serial loop) unless a BLAS thread variable leaves
+CPUs free; the results do not depend on the thread count. Each call counts
+its fold fits that stopped at ``max_iter`` without converging and reports
+the count in one RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .predict import estimate_scores, predict
 # An increment must beat the incumbent mean CV MSE by this much to count.
 IMPROVEMENT_THRESHOLD = 1e-4
 
-# Weight at which select_model searches the ranks before searching the weight.
+# Weight at which select_model searches the ranks when the grid has several.
 RANK_ETA = 0.5
 
 DEFAULT_ETA_GRID = (0.01, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40,
@@ -236,32 +239,6 @@ def _search_eta(cv: _Candidates, ranks: Ranks, grid):
     return best_eta, trace
 
 
-def select_eta(
-    data: MultiSourceDataset,
-    y: Outcome,
-    ranks: Ranks,
-    grid=DEFAULT_ETA_GRID,
-    plan: CvPlan | None = None,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
-    policy: str = "error",
-    reports: list | None = None,
-):
-    """Grid search for the weight with the lowest mean CV MSE.
-
-    Ties go to the first grid value attaining the minimum. ``policy`` is
-    the zero-variance policy of the fold standardization. Fold-fit reports
-    are appended to ``reports`` when it is a list; otherwise fold fits that
-    stopped without converging are counted in one RuntimeWarning.
-    """
-    grid = _check_grid(grid)
-    cv = _Candidates(data, y, plan, max_iter, tol, policy, reports)
-    eta, trace = _search_eta(cv, ranks, grid)
-    if reports is None:
-        warn_unconverged(cv.reports)
-    return eta, trace
-
-
 def _rank_candidates(ranks: Ranks, p, n_train_min: int):
     """One-step increments that fit every fold, joint first then blocks in order."""
     cands = []
@@ -301,61 +278,54 @@ def _search_ranks(cv: _Candidates, eta: float):
     return ranks, trace
 
 
-def select_ranks(
-    data: MultiSourceDataset,
-    y: Outcome,
-    eta: float,
-    plan: CvPlan | None = None,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
-    policy: str = "error",
-    reports: list | None = None,
-):
-    """Forward-selection rank search at a fixed weight.
-
-    Ties between equally good increments prefer the joint rank, then the
-    lowest block index (the candidate order below). ``policy`` and
-    ``reports`` work as in ``select_eta``.
-    """
-    cv = _Candidates(data, y, plan, max_iter, tol, policy, reports)
-    ranks, trace = _search_ranks(cv, eta)
-    if reports is None:
-        warn_unconverged(cv.reports)
-    return ranks, trace
-
-
 def select_model(
     data: MultiSourceDataset,
     y: Outcome,
     plan: CvPlan | None = None,
     eta_grid=DEFAULT_ETA_GRID,
+    ranks: Ranks | None = None,
     iterate: bool = False,
     max_iter: int = 1000,
     tol: float = 1e-6,
     policy: str = "error",
     reports: list | None = None,
 ):
-    """Full selection pipeline: ranks at a fixed weight, then the weight at
-    the chosen ranks; optionally one more rank pass at the chosen weight.
+    """Cross-validated ranks and weight: ``(eta, ranks, rank_trace, eta_trace)``.
 
-    The folds are prepared once for the whole pipeline, and an (eta, ranks)
-    candidate that an earlier pass already cross-validated (the rank
-    search's choice at ``RANK_ETA``) keeps its fold MSEs instead of being
-    refitted. Every fold fit uses ``max_iter`` and ``tol``. Fold-fit
-    reports are appended to ``reports`` when it is a list; otherwise the
-    unconverged fold fits of the whole pipeline share one RuntimeWarning.
+    Without ``ranks``, forward selection picks them at ``eta_grid[0]`` for a
+    one-weight grid and at ``RANK_ETA`` otherwise; then the weight is
+    searched at those ranks, unless all are zero (the search weight is then
+    returned). ``iterate`` repeats both searches once if the chosen weight
+    differs from the search weight. Given ``ranks`` leave ``rank_trace``
+    without candidates, and cannot be combined with ``iterate``. Weight ties
+    go to the first grid value; rank ties to the joint rank, then the lowest
+    block index.
+
+    Folds are prepared once per call, and a candidate (eta, ranks) seen
+    before keeps its fold MSEs instead of being refitted. Every fold fit
+    uses ``max_iter`` and ``tol``; ``policy`` is the fold standardization's
+    zero-variance policy. Fold-fit reports are appended to ``reports`` when
+    it is a list; otherwise the call's unconverged fold fits share one
+    RuntimeWarning.
     """
     grid = _check_grid(eta_grid)
+    if ranks is not None and iterate:
+        raise ConfigError("iterate repeats the rank search, so it needs ranks=None")
     cv = _Candidates(data, y, plan, max_iter, tol, policy, reports)
-    ranks, rank_trace = _search_ranks(cv, RANK_ETA)
-    if ranks.total == 0:
-        eta, eta_trace = RANK_ETA, SelectionTrace(chosen="skipped: all ranks zero")
-    else:
+    if ranks is not None:
+        rank_trace = SelectionTrace(chosen=f"given: ({ranks})")
         eta, eta_trace = _search_eta(cv, ranks, grid)
-        if iterate and eta != RANK_ETA:
-            ranks, rank_trace = _search_ranks(cv, eta)
-            if ranks.total > 0:
-                eta, eta_trace = _search_eta(cv, ranks, grid)
+    else:
+        rank_eta = grid[0] if len(grid) == 1 else RANK_ETA
+        ranks, rank_trace = _search_ranks(cv, rank_eta)
+        if ranks.total == 0:
+            eta, eta_trace = rank_eta, SelectionTrace(chosen="skipped: all ranks zero")
+        else:
+            eta, eta_trace = _search_eta(cv, ranks, grid)
+            if iterate and eta != rank_eta:
+                ranks, rank_trace = _search_ranks(cv, eta)
+                if ranks.total > 0:
+                    eta, eta_trace = _search_eta(cv, ranks, grid)
     if reports is None:
         warn_unconverged(cv.reports)
     return eta, ranks, rank_trace, eta_trace

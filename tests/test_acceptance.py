@@ -15,7 +15,7 @@ from sjive.core import FitConfig, Ranks, fit
 from sjive.metrics import component_inference
 from sjive.metrics import test_mse as mse_of
 from sjive.predict import estimate_scores, predict
-from sjive.selection import make_cv_plan, select_ranks
+from sjive.selection import make_cv_plan, select_model
 from sjive.simulate import SimConfig, eigen_signal_report, generate, train_test_split
 
 from oracles import (
@@ -193,7 +193,7 @@ def _rank_selection_case(case):
     cfg = SimConfig(k=2, p=(100, 100), n=100, rank_joint=1,
                     rank_indiv=(1, 1), x_err=x_err, y_err=0.10, seed=seed)
     data, y, _ = generate(cfg)
-    ranks, _ = select_ranks(data, y, eta=0.5, plan=make_cv_plan(data.n, seed=seed))
+    _, ranks, _, _ = select_model(data, y, make_cv_plan(data.n, seed=seed), (0.5,))
     return ranks
 
 

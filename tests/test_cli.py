@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -213,7 +214,7 @@ def test_select_command(tmp_path):
                         "unconverged"]
 
 
-def test_cli_error_paths(tmp_path):
+def test_cli_error_paths(simdir, tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     rc = main([
         "fit", "--x", str(missing), "--y", str(missing),
@@ -230,6 +231,18 @@ def test_cli_error_paths(tmp_path):
         "--eta", "0.5", "--ranks", "1,1", "--out", str(tmp_path / "o2"),
     ])
     assert rc == 2
+    # Malformed numeric flags are input errors that name the flag.
+    cfg, data = simdir
+    xy = ["--x", str(data / "X1.csv"), "--x", str(data / "X2.csv"), "--y", str(data / "y.csv")]
+    capsys.readouterr()
+    for flag, argv in [
+        ("--ranks", ["fit", *xy, "--eta", "0.5", "--ranks", "1,x,1"]),
+        ("--eta", ["fit", *xy, "--eta", "abc", "--ranks", "1,1,1"]),
+        ("--eta-grid", ["select", *xy, "--eta-grid", "0.5,x"]),
+        ("--eta", ["benchmark", "--config", str(cfg), "--eta", "x"]),
+    ]:
+        assert main([*argv, "--out", str(tmp_path / "o3")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
 
 def test_cli_drop_constant_and_ranks_parsing(tmp_path):
@@ -437,6 +450,55 @@ def test_evaluate_infers_only_on_the_training_samples(tmp_path):
         manifest = (out / "manifest.txt").read_text(encoding="utf-8")
         skipped = "inference = skipped: samples are not the training samples" in manifest
         assert skipped is not inferred
+
+
+def test_outcome_is_matched_to_the_blocks_by_sample_id(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CFG.replace("n = 24", "n = 40").replace("seed = 5", "seed = 3"),
+                   encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    xs = ["--x", str(data / "X1.csv"), "--x", str(data / "X2.csv")]
+    model = tmp_path / "fit" / "model.zip"
+    assert main(["fit", *xs, "--y", str(data / "y.csv"), "--ranks", "1,1,1",
+                 "--out", str(model.parent)]) == 0
+    y = load_csv(data / "y.csv")
+    reversed_y = tmp_path / "y_reversed.csv"
+    write_csv(reversed_y, y.values[:, ::-1], y.row_ids, y.col_ids[::-1])
+    for argv in (["fit", *xs, "--ranks", "1,1,1"], ["select", *xs, "--eta-grid", "0.5"],
+                 ["evaluate", "--model", str(model), *xs]):
+        out = tmp_path / f"misaligned_{argv[0]}"
+        assert main([*argv, "--y", str(reversed_y), "--out", str(out)]) == 2
+        assert not (out / "manifest.txt").exists()
+
+
+def test_evaluate_heatmaps_name_the_training_samples(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CFG, encoding="utf-8")
+    sim, data = tmp_path / "sim", tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    data.mkdir()
+    names = [f"patient{j:03d}" for j in range(24)]
+    for name in ("X1.csv", "X2.csv", "y.csv"):
+        mat = load_csv(sim / name)
+        write_csv(data / name, mat.values, mat.row_ids, names)
+    xs = ["--x", str(data / "X1.csv"), "--x", str(data / "X2.csv")]
+    model = tmp_path / "fit" / "model.zip"
+    assert main(["fit", *xs, "--y", str(data / "y.csv"), "--ranks", "1,1,1",
+                 "--out", str(model.parent)]) == 0
+    assert main(["evaluate", "--model", str(model), *xs, "--out", str(tmp_path / "eval")]) == 0
+    for name in ("heatmap_joint_block1.csv", "heatmap_indiv_block2.csv"):
+        assert _read_rows(tmp_path / "eval" / name)[0] == ["id", *names]
+    # Archives written before sample ids were stored fall back to s1..sn.
+    with np.load(model) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    manifest = json.loads(str(arrays.pop("manifest")))
+    del manifest["sample_ids"]
+    with open(model, "wb") as fh:
+        np.savez(fh, manifest=np.array(json.dumps(manifest)), **arrays)
+    assert main(["evaluate", "--model", str(model), *xs, "--out", str(tmp_path / "old")]) == 0
+    header = _read_rows(tmp_path / "old" / "heatmap_joint_block1.csv")[0]
+    assert header == ["id", *(f"s{j + 1}" for j in range(24))]
 
 
 def test_evaluate_truth_with_a_zero_individual_rank(tmp_path):

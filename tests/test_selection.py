@@ -22,9 +22,7 @@ from sjive.selection import (
     cv_fold_mses,
     make_cv_plan,
     prepare_folds,
-    select_eta,
     select_model,
-    select_ranks,
 )
 from sjive.simulate import SimConfig, generate
 
@@ -93,7 +91,7 @@ def test_cv_mse_rank_error_names_fold(small_noisy):
 def test_select_eta_singleton(small_noisy):
     data, y = small_noisy
     plan = make_cv_plan(data.n, seed=5)
-    eta, trace = select_eta(data, y, Ranks(1, (1, 1)), grid=(0.5,), plan=plan)
+    eta, _, _, trace = select_model(data, y, plan, (0.5,), Ranks(1, (1, 1)))
     assert eta == 0.5
     assert trace.chosen == "eta=0.5"
     assert len(trace.candidates) == 1
@@ -103,7 +101,7 @@ def test_select_eta_records_all_and_attains_min(small_noisy):
     data, y = small_noisy
     plan = make_cv_plan(data.n, seed=6)
     grid = (0.25, 0.5, 0.75, 0.99)
-    eta, trace = select_eta(data, y, Ranks(1, (1, 1)), grid=grid, plan=plan)
+    eta, _, _, trace = select_model(data, y, plan, grid, Ranks(1, (1, 1)))
     assert len(trace.candidates) == len(grid)
     mses = {c["candidate"]: c["mean_mse"] for c in trace.candidates}
     assert mses[f"eta={eta:g}"] == min(mses.values())
@@ -119,7 +117,7 @@ def test_select_eta_pure_noise_outcome():
     data, y, _ = generate(cfg)
     plan = make_cv_plan(data.n, seed=10)
     grid = (0.25, 0.5, 0.9)
-    eta, trace = select_eta(data, y, Ranks(1, (1, 1)), grid=grid, plan=plan)
+    eta, _, _, trace = select_model(data, y, plan, grid, Ranks(1, (1, 1)))
     assert eta in grid
     mses = {c["candidate"]: c["mean_mse"] for c in trace.candidates}
     assert len(mses) == len(grid)
@@ -129,9 +127,11 @@ def test_select_eta_pure_noise_outcome():
 def test_select_eta_rejects_bad_grid(small_noisy):
     data, y = small_noisy
     with pytest.raises(ConfigError):
-        select_eta(data, y, Ranks(1, (1, 1)), grid=())
+        select_model(data, y, eta_grid=(), ranks=Ranks(1, (1, 1)))
     with pytest.raises(ConfigError):
-        select_eta(data, y, Ranks(1, (1, 1)), grid=(0.0, 0.5))
+        select_model(data, y, eta_grid=(0.0, 0.5), ranks=Ranks(1, (1, 1)))
+    with pytest.raises(ConfigError, match="iterate"):
+        select_model(data, y, ranks=Ranks(1, (1, 1)), iterate=True)
 
 
 def test_select_ranks_pure_noise_stays_small():
@@ -141,7 +141,7 @@ def test_select_ranks_pure_noise_stays_small():
     )
     y = Outcome(rng.normal(size=40))
     plan = make_cv_plan(40, seed=7)
-    ranks, _ = select_ranks(data, y, eta=0.5, plan=plan)
+    _, ranks, _, _ = select_model(data, y, plan, (0.5,))
     assert ranks.total <= 1
 
 
@@ -152,8 +152,7 @@ def test_select_ranks_noiseless_total_rank():
     cfg = SimConfig(k=2, p=(25, 25), n=50, rank_joint=1, rank_indiv=(1, 1), seed=80)
     data, y, _ = generate(cfg)
     plan = make_cv_plan(data.n, seed=8)
-    ranks, trace = select_ranks(data, y, eta=0.5, plan=plan,
-                                max_iter=2000, tol=1e-9)
+    _, ranks, trace, _ = select_model(data, y, plan, (0.5,), max_iter=2000, tol=1e-9)
     assert ranks.total == 3
     assert trace.chosen.startswith("(")
     accepted = [s["accepted"] for s in trace.steps]
@@ -165,7 +164,7 @@ def test_select_ranks_respects_bounds():
     data = MultiSourceDataset.from_arrays([rng.normal(size=(2, 25))])
     y = Outcome(rng.normal(size=25))
     plan = make_cv_plan(25, seed=9)
-    ranks, _ = select_ranks(data, y, eta=0.5, plan=plan)
+    _, ranks, _, _ = select_model(data, y, plan, (0.5,))
     assert ranks.joint <= 2 and ranks.individual[0] <= 2
 
 
@@ -188,9 +187,9 @@ def test_selection_passes_drop_policy_to_folds():
     with pytest.raises(DegeneracyError, match="block 1"):
         cv_fold_mses(prepare_folds(data, y, plan), cfg)
     assert np.isfinite(cv_fold_mses(prepare_folds(data, y, plan, policy="drop"), cfg)).all()
-    ranks, trace = select_ranks(data, y, 0.5, plan, policy="drop")
+    _, ranks, trace, _ = select_model(data, y, plan, (0.5,), policy="drop")
     assert ranks.total >= 1
-    eta, trace = select_eta(data, y, ranks, grid=(0.3, 0.7), plan=plan, policy="drop")
+    eta, _, _, trace = select_model(data, y, plan, (0.3, 0.7), ranks, policy="drop")
     assert len(trace.candidates) == 2
     eta, ranks, _, _ = select_model(data, y, plan, eta_grid=(0.3, 0.7), policy="drop")
     assert ranks.total >= 1
@@ -214,22 +213,22 @@ def test_outcome_constant_in_one_training_fold_names_the_fold():
     values[plan.folds[2]] = np.random.default_rng(1).normal(size=plan.folds[2].size)
     y = Outcome(values)
     with pytest.raises(DegeneracyError, match=r"^fold 3 training samples: outcome is constant"):
-        select_ranks(data, y, 0.5, plan, policy="drop")
+        select_model(data, y, plan, (0.5,), policy="drop")
     with pytest.raises(DegeneracyError, match=r"^fold 3 training samples: outcome is constant"):
-        select_eta(data, y, Ranks(1, (1, 1)), grid=(0.5,), plan=plan, policy="drop")
+        select_model(data, y, plan, (0.5,), Ranks(1, (1, 1)), policy="drop")
 
 
 def test_unconverged_fold_fits_warn_once(small_noisy):
     data, y = small_noisy
     plan = make_cv_plan(data.n, seed=12)
     with pytest.warns(RuntimeWarning) as record:
-        select_eta(data, y, Ranks(1, (1, 1)), grid=(0.3, 0.7), plan=plan, max_iter=1)
+        select_model(data, y, plan, (0.3, 0.7), Ranks(1, (1, 1)), max_iter=1)
     assert len(record) == 1
     assert str(record[0].message).startswith("10 of 10 cross-validation fold fits stopped")
     reports = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, trace = select_ranks(data, y, 0.5, plan, max_iter=1, reports=reports)
+        _, _, trace, _ = select_model(data, y, plan, (0.5,), max_iter=1, reports=reports)
     assert len(reports) == 5 * len(trace.candidates)
     assert not all(r.converged for r in reports)
 
@@ -325,11 +324,11 @@ def test_folds_are_standardized_once_per_selection_call(small_noisy, monkeypatch
 
     monkeypatch.setattr(selection, "standardize", counted)
     monkeypatch.setattr(selection, "parallel_workers", lambda: workers)
-    _, trace = select_ranks(data, y, 0.5, plan, max_iter=50)
+    _, _, trace, _ = select_model(data, y, plan, (0.5,), max_iter=50)
     assert len(trace.candidates) > 1
     assert len(calls) == len(plan.folds)
     calls.clear()
-    select_eta(data, y, Ranks(1, (1, 1)), grid=(0.3, 0.7), plan=plan, max_iter=50)
+    select_model(data, y, plan, (0.3, 0.7), Ranks(1, (1, 1)), max_iter=50)
     assert len(calls) == len(plan.folds)
     calls.clear()
     select_model(data, y, plan, eta_grid=(0.3, 0.7), iterate=True, max_iter=50)
@@ -340,8 +339,8 @@ def test_wrapped_fit_sees_every_threaded_fold_fit(small_noisy, fit_configs, two_
     data, y = small_noisy
     reports = []
     threads = threading.active_count()
-    _, trace = select_ranks(data, y, 0.5, make_cv_plan(data.n, seed=15), max_iter=50,
-                            reports=reports)
+    _, _, trace, _ = select_model(data, y, make_cv_plan(data.n, seed=15), (0.5,), max_iter=50,
+                                  reports=reports)
     assert len(fit_configs) == len(reports) == 5 * len(trace.candidates)
     assert threading.active_count() == threads  # every pool was shut down
 
@@ -361,6 +360,35 @@ def test_select_model_cross_validates_each_candidate_once(small_noisy, fit_confi
     eta_entry = next(c for c in eta_trace.candidates if c["candidate"] == f"eta={RANK_ETA:g}")
     assert eta_entry["fold_mses"] == rank_entry["fold_mses"]
     assert eta_entry["mean_mse"] == rank_entry["mean_mse"]
+
+
+@pytest.mark.parametrize("y_err, all_zero", [(0.2, False), (0.99, True)])
+def test_one_weight_grid_fixes_the_weight(fit_configs, y_err, all_zero):
+    # The ranks are searched at the grid's one weight, which is returned even
+    # when every chosen rank is zero; the weight pass refits nothing.
+    cfg = SimConfig(k=2, p=(10, 10), n=30, rank_joint=1, rank_indiv=(1, 1),
+                    x_err=0.5, y_err=y_err, seed=7)
+    data, y, _ = generate(cfg)
+    eta, ranks, rank_trace, eta_trace = select_model(data, y, make_cv_plan(data.n, seed=3), (0.3,))
+    assert eta == 0.3
+    assert (ranks.total == 0) is all_zero
+    assert len(fit_configs) == 5 * len(rank_trace.candidates)
+    assert {c.eta for c in fit_configs} == {0.3}
+    if all_zero:
+        assert eta_trace.chosen == "skipped: all ranks zero"
+
+
+def test_given_ranks_skip_the_rank_search(small_noisy, fit_configs):
+    data, y = small_noisy
+    grid = (0.3, 0.5, 0.7)
+    eta, ranks, rank_trace, eta_trace = select_model(
+        data, y, make_cv_plan(data.n, seed=19), grid, Ranks(1, (1, 0)))
+    assert ranks == Ranks(1, (1, 0))
+    assert rank_trace.candidates == [] and rank_trace.chosen == "given: (1,1,0)"
+    assert len(fit_configs) == 5 * len(grid)
+    assert {c.ranks for c in fit_configs} == {ranks}
+    assert [c["candidate"] for c in eta_trace.candidates] == ["eta=0.3", "eta=0.5", "eta=0.7"]
+    assert eta in grid
 
 
 def test_threaded_rank_error_names_its_fold(small_noisy, two_workers):
