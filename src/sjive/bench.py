@@ -179,8 +179,8 @@ def run_benchmark(
     unconverged = sum(r.unconverged for r in results)
     if unconverged:
         warnings.warn(
-            f"{unconverged} of {2 * reps} replicate fits stopped at max_iter without "
-            "converging; their test MSEs may be off",
+            f"{unconverged} of {2 * reps} replicate fits stopped at max_iter or on a rising "
+            "sweep without converging; their test MSEs may be off",
             RuntimeWarning,
             stacklevel=2,
         )

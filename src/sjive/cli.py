@@ -136,8 +136,8 @@ def _fold_trace_rows(trace):
 
 
 def _count_unconverged(reports) -> dict:
-    """Warn about the selection's fold fits that stopped at max_iter, and
-    count them for the manifest."""
+    """Warn about the selection's fold fits that stopped at max_iter or on a
+    rising sweep, and count them for the manifest."""
     warn_unconverged(reports)
     return {"unconverged_fits": sum(not r.converged for r in reports)}
 

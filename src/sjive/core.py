@@ -25,7 +25,7 @@ import numpy as np
 from . import data as _data
 from .data import BlockScaler, MultiSourceDataset, Outcome, OutcomeScaler, decompress_loadings
 from .errors import ConfigError, DegeneracyError, RankError, ShapeError, SJiveError
-from .linalg import rank_mask, regress_on_rows, top_svd, unit_frame
+from .linalg import rank_mask, regress_on_rows, top_factors, top_svd, unit_frame
 
 
 @dataclass(frozen=True)
@@ -172,16 +172,18 @@ def _outcome_values(y):
     return vals, None
 
 
-def _truncated_left_scores(m: np.ndarray, r: int):
+def _truncated_left_scores(m: np.ndarray, r: int, factorize):
     """Top-r left singular vectors L, scores L^T m, and an orthonormal basis
-    (columns) of the row space of the scores."""
-    u, s, vt = top_svd(m, r)
+    (columns) of the row space of the scores; ``factorize`` is ``top_svd``
+    or ``top_factors``."""
+    u, s, vt = factorize(m, r)
     return u, s[:, None] * vt, vt[rank_mask(s)].T
 
 
-def _sweep(stacked, offsets, ranks: Ranks, parts):
+def _sweep(stacked, offsets, ranks: Ranks, parts, factorize):
     """One ALS sweep from the individual parts ``parts``; returns the new
     factors (L, S_J, F, S), the new parts and their objective.
+    ``factorize(matrix, r)`` returns the signed top-r SVD factors.
 
     ``parts[i]`` is block i's fitted individual part stacked over its
     outcome row, F_i @ S_i; unlike F_i and S_i it has no gauge or sign
@@ -199,7 +201,11 @@ def _sweep(stacked, offsets, ranks: Ranks, parts):
         R[a:b] -= part[:-1]
     y_ind = sum(part[-1] for part in parts)
     R[-1] -= y_ind
-    L, S_J, V = _truncated_left_scores(R, ranks.joint)
+    L, S_J, V = _truncated_left_scores(R, ranks.joint, factorize)
+    # Components whose singular value fails rank_mask (a joint rank above
+    # the data's row rank) are rounding error: zero their scores. V holds
+    # the kept ones, which come first.
+    S_J[V.shape[1]:] = 0.0
     resid = stacked - L @ S_J
     F, S, new_parts = [], [], []
     for i, ((a, b), part) in enumerate(zip(offsets, parts)):
@@ -217,7 +223,7 @@ def _sweep(stacked, offsets, ranks: Ranks, parts):
             # pass removes it ("twice is enough").
             if np.linalg.norm(Ri) < 1e-3 * np.linalg.norm(along):
                 Ri -= (Ri @ V) @ V.T
-        Fi, Si, _ = _truncated_left_scores(Ri, ranks.individual[i])
+        Fi, Si, _ = _truncated_left_scores(Ri, ranks.individual[i], factorize)
         F.append(Fi)
         S.append(Si)
         new_parts.append(Fi @ Si)
@@ -228,9 +234,9 @@ def _sweep(stacked, offsets, ranks: Ranks, parts):
     return (L, S_J, F, S), new_parts, float(np.sum(resid * resid))
 
 
-def _als(stacked, offsets, ranks: Ranks, max_iter: int, tol: float):
+def _als(stacked, offsets, ranks: Ranks, max_iter: int, tol: float, factorize):
     parts = [np.zeros((b - a + 1, stacked.shape[1])) for a, b in offsets]
-    factors, parts, obj = _sweep(stacked, offsets, ranks, parts)
+    factors, parts, obj = _sweep(stacked, offsets, ranks, parts, factorize)
     trace = [obj]
     # Absolute stop for exactly representable decompositions, far below any
     # tolerance a caller would use on real data.
@@ -238,7 +244,7 @@ def _als(stacked, offsets, ranks: Ranks, max_iter: int, tol: float):
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_factors, new_parts, obj = _sweep(stacked, offsets, ranks, parts)
+        new_factors, new_parts, obj = _sweep(stacked, offsets, ranks, parts, factorize)
         prev = trace[-1]
         step = tol * max(prev, 1e-300)
         if obj - prev > step and obj > floor:
@@ -332,8 +338,11 @@ def fit(data, y, cfg: FitConfig, compress: bool = True):
     While ``compress`` is on (the default), each block with more variables
     than samples is replaced during the iterations by its SVD score
     representation, and the result is mapped back to variable space
-    (equivalent up to floating point). Blocks with no more variables than
-    samples are never compressed.
+    (equivalent up to floating point); blocks with no more variables than
+    samples are never compressed. Each update then takes its top factors
+    from ``linalg.top_factors``. ``compress=False`` is the reference path:
+    raw blocks and a full LAPACK SVD (``linalg.top_svd``) per update, which
+    the tests compare the default path against.
     Returns (model, report); ``report.converged`` is False when the
     iteration budget ran out, in which case the best model so far is
     returned, or when a sweep raised the objective by more than ``tol``
@@ -364,7 +373,8 @@ def fit(data, y, cfg: FitConfig, compress: bool = True):
     if yvals is not None and cfg.eta < 1.0:
         stacked[-1] = yvals * np.sqrt(1.0 - cfg.eta)
     factors, trace, iterations, converged = _als(
-        stacked, offsets, cfg.ranks, cfg.max_iter, cfg.tol
+        stacked, offsets, cfg.ranks, cfg.max_iter, cfg.tol,
+        top_factors if compress else top_svd,
     )
     model = _build_model(factors, cfg, offsets, cbs, yvals, data, yscaler)
     report = FitReport(
@@ -386,7 +396,8 @@ def rescale_identifiable(model: SJiveModel) -> SJiveModel:
     depend on the outcome. All-zero blocks are left untouched and flagged
     in ``degenerate``; so are individual parts whose scores are all zero,
     after their loadings and coefficients are set to zero, so new samples
-    get zero scores there.
+    get zero scores there. A joint component whose score row is all zero
+    is treated the same way and flagged as "joint component j".
     """
     in_frame = model.eta < 1.0
     U, S_J, th1 = model.joint_loadings, model.joint_scores, model.theta_joint
@@ -394,6 +405,11 @@ def rescale_identifiable(model: SJiveModel) -> SJiveModel:
     th2 = None if model.theta_indiv is None else list(model.theta_indiv)
     flags = []
     if model.ranks.joint > 0:
+        dead = ~S_J.any(axis=1)
+        if dead.any():
+            U = [np.where(dead, 0.0, u) for u in U]
+            th1 = None if th1 is None else np.where(dead, 0.0, th1)
+            flags += [f"joint component {j + 1}" for j in np.flatnonzero(dead)]
         framed = unit_frame(U, S_J, th1, theta_in_norm=in_frame)
         if framed is None:
             flags.append("joint")

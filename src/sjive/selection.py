@@ -207,12 +207,14 @@ class _Candidates:
 
 
 def warn_unconverged(reports: list) -> None:
-    """One RuntimeWarning counting the fold fits that stopped at max_iter."""
+    """One RuntimeWarning counting the fold fits that stopped at max_iter or
+    on a rising sweep."""
     count = sum(not r.converged for r in reports)
     if count:
         warnings.warn(
             f"{count} of {len(reports)} cross-validation fold fits stopped at "
-            "max_iter without converging; their held-out MSEs may be off",
+            "max_iter or on a rising sweep without converging; their held-out MSEs "
+            "may be off",
             RuntimeWarning,
             stacklevel=3,
         )

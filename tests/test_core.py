@@ -5,6 +5,7 @@ import sjive.data
 from sjive import core
 from sjive.core import FitConfig, Ranks, SJiveModel, fit, objective, rescale_identifiable
 from sjive.errors import ConfigError, DegeneracyError, RankError
+from sjive.linalg import top_factors, top_svd
 from sjive.simulate import SimConfig, generate
 
 from oracles import eq1_objective_scalar, max_principal_angle, reference_unsupervised_decomposition
@@ -125,18 +126,19 @@ def test_sweep_is_a_pure_map_of_the_individual_parts():
     parts = [rng.normal(size=(6, 7)), rng.normal(size=(5, 7))]
     before = [stacked.copy(), *(p.copy() for p in parts)]
     ranks = Ranks(1, (1, 2))
-    (L, S_J, F, S), new_parts, obj = core._sweep(stacked, offsets, ranks, parts)
-    assert all(np.array_equal(a, b) for a, b in zip(before, [stacked, *parts]))
-    _, again, obj_again = core._sweep(stacked, offsets, ranks, parts)
-    assert obj_again == obj
-    assert all(np.array_equal(a, b) for a, b in zip(again, new_parts))
-    for f, s, part in zip(F, S, new_parts):
-        assert np.array_equal(f @ s, part)
-    resid = stacked - L @ S_J
-    for (a, b), part in zip(offsets, new_parts):
-        resid[a:b] -= part[:-1]
-    resid[-1] -= sum(part[-1] for part in new_parts)
-    assert obj == pytest.approx(float(np.sum(resid * resid)), rel=1e-14)
+    for factorize in (top_factors, top_svd):
+        (L, S_J, F, S), new_parts, obj = core._sweep(stacked, offsets, ranks, parts, factorize)
+        assert all(np.array_equal(a, b) for a, b in zip(before, [stacked, *parts]))
+        _, again, obj_again = core._sweep(stacked, offsets, ranks, parts, factorize)
+        assert obj_again == obj
+        assert all(np.array_equal(a, b) for a, b in zip(again, new_parts))
+        for f, s, part in zip(F, S, new_parts):
+            assert np.array_equal(f @ s, part)
+        resid = stacked - L @ S_J
+        for (a, b), part in zip(offsets, new_parts):
+            resid[a:b] -= part[:-1]
+        resid[-1] -= sum(part[-1] for part in new_parts)
+        assert obj == pytest.approx(float(np.sum(resid * resid)), rel=1e-14)
 
 
 def test_fit_eta_one_ignores_outcome():
@@ -395,3 +397,29 @@ def test_joint_rank_n_leaves_flagged_empty_individual_parts(eta):
     np.testing.assert_allclose(predict(model, est, standardized=True),
                                predict(joint_only, estimate_scores(joint_only, new),
                                        standardized=True), atol=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:score Gram matrix is singular")
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_joint_rank_above_row_rank_is_zeroed_and_flagged(eta, seed):
+    # Standardized data has row rank n - 1, so a fifth joint component at
+    # n = 5 is rounding error: it is zeroed and flagged, and new samples are
+    # predicted as by the joint-rank-4 fit.
+    from sjive.data import Outcome, standardize, standardize_with
+    from sjive.predict import estimate_scores, predict
+
+    rng = np.random.default_rng(seed)
+    data, y = standardize(sjive.data.MultiSourceDataset.from_arrays(
+        [rng.normal(size=(8, 5)), rng.normal(size=(7, 5))]), Outcome(rng.normal(size=5)))
+    new = standardize_with(sjive.data.MultiSourceDataset.from_arrays(
+        [rng.normal(size=(8, 9)), rng.normal(size=(7, 9))]), data.standardization)
+    over, _ = fit(data, y, FitConfig(eta=eta, ranks=Ranks(5, (0, 0))))
+    exact, _ = fit(data, y, FitConfig(eta=eta, ranks=Ranks(4, (0, 0))))
+    assert over.degenerate == ("joint component 5",)
+    assert exact.degenerate == ()
+    assert not over.joint_scores[4].any() and not over.theta_joint[4]
+    assert not any(u[:, 4].any() for u in over.joint_loadings)
+    np.testing.assert_allclose(
+        predict(over, estimate_scores(over, new), standardized=True),
+        predict(exact, estimate_scores(exact, new), standardized=True), rtol=0, atol=1e-10)

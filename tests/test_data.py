@@ -451,18 +451,21 @@ def test_decompress_shape_error():
 
 def test_fit_on_compressed_matches_raw():
     # Tall blocks fitted via their score representation give the same
-    # objective and joint approximation as the raw fit.
+    # objective and joint approximation as the raw fit. Square blocks are
+    # never compressed, so there the two fits differ only in the kernel
+    # (top_factors against the full SVD).
     rng = np.random.default_rng(35)
-    n, p = 24, 60
-    blocks = [rng.normal(size=(p, n)), rng.normal(size=(p, n))]
-    y = rng.normal(size=n)
-    data = MultiSourceDataset.from_arrays(blocks)
-    cfg = FitConfig(eta=0.5, ranks=Ranks(1, (1, 1)), tol=1e-9, max_iter=400)
-    m_raw, r_raw = fit(data, y, cfg, compress=False)
-    m_cmp, r_cmp = fit(data, y, cfg, compress=True)
-    assert r_cmp.final_objective == pytest.approx(r_raw.final_objective, rel=1e-6)
-    for i in range(2):
-        j_raw = m_raw.joint_loadings[i] @ m_raw.joint_scores
-        j_cmp = m_cmp.joint_loadings[i] @ m_cmp.joint_scores
-        assert np.linalg.norm(j_raw - j_cmp) < 1e-6 * max(1.0, np.linalg.norm(j_raw))
-    assert objective(data, y, m_cmp) == pytest.approx(objective(data, y, m_raw), rel=1e-6)
+    n = 24
+    for p in (60, n):
+        blocks = [rng.normal(size=(p, n)), rng.normal(size=(p, n))]
+        y = rng.normal(size=n)
+        data = MultiSourceDataset.from_arrays(blocks)
+        cfg = FitConfig(eta=0.5, ranks=Ranks(1, (1, 1)), tol=1e-9, max_iter=400)
+        m_raw, r_raw = fit(data, y, cfg, compress=False)
+        m_cmp, r_cmp = fit(data, y, cfg, compress=True)
+        assert r_cmp.final_objective == pytest.approx(r_raw.final_objective, rel=1e-6)
+        for i in range(2):
+            j_raw = m_raw.joint_loadings[i] @ m_raw.joint_scores
+            j_cmp = m_cmp.joint_loadings[i] @ m_cmp.joint_scores
+            assert np.linalg.norm(j_raw - j_cmp) < 1e-6 * max(1.0, np.linalg.norm(j_raw))
+        assert objective(data, y, m_cmp) == pytest.approx(objective(data, y, m_raw), rel=1e-6)

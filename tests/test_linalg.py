@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sjive.errors import DegeneracyError, InputError, RankError, ShapeError
@@ -11,6 +11,7 @@ from sjive.linalg import (
     qr_orthonormalize,
     rank_mask,
     regress_on_rows,
+    top_factors,
     top_svd,
     unit_frame,
 )
@@ -252,6 +253,69 @@ def test_svd_minimality_property(m, n, r, low_rank, seed):
         q, _ = np.linalg.qr(rng.normal(size=(m, r)))
         other = float(np.sum((a - q @ (q.T @ a)) ** 2))
         assert got <= other + 1e-10 * max(1.0, other)
+
+
+def _kernel_input(kind, m, n, scale_exp, seed):
+    rng = np.random.default_rng(seed)
+    q = min(m, n)
+    if kind == "zero":
+        return np.zeros((m, n))
+    if kind == "gaussian":
+        a = rng.normal(size=(m, n))
+    elif kind == "low rank":
+        k = int(rng.integers(1, q + 1))
+        a = rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
+    else:
+        # Known spectrum: "tied" repeats values (zero included), "graded"
+        # falls geometrically by up to four decades a step.
+        if kind == "tied":
+            s = np.sort(rng.choice([2.0, 1.0, 1.0, 0.5, 0.0], size=q))[::-1]
+        else:
+            s = 10.0 ** (-rng.uniform(0.0, 4.0) * np.arange(q))
+        u, _ = np.linalg.qr(rng.normal(size=(m, q)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, q)))
+        a = (u * s) @ v.T
+    return a * 10.0 ** scale_exp
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["gaussian", "low rank", "tied", "graded", "zero"]),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+# s_5 = 5e-10 s_0: the Gram cannot resolve it (without the exact fallback
+# the kernel's s_5 is off by 2e-10 s_0).
+@example("graded", 8, 12, 5, 85, 31823245)
+def test_top_factors_matches_top_svd(kind, m, n, r, scale_exp, seed):
+    # The Gram-plus-Rayleigh-Ritz kernel against the exact SVD on tall, wide
+    # and square inputs, rank-deficient, tied and all-zero ones, at scales
+    # from 1e-300 to 1e300: same sign rule, orthonormal factors, singular
+    # values and rank-r residual within 1e-12 s_0, and the same subspaces
+    # wherever the gap s_r - s_(r+1) exceeds 1e-6 s_0, up to 1e-11 s_0 / gap
+    # (the Gram's rounding bound eps s_0^2 / (s_r gap), with s_r > 1e-4 s_0).
+    r = min(r, m, n)
+    a = _kernel_input(kind, m, n, scale_exp, seed)
+    u, s, vt = top_factors(a, r)
+    assert (u.shape, s.shape, vt.shape) == ((m, r), (r,), (r, n))
+    for j in range(r):
+        assert u[np.argmax(np.abs(u[:, j])), j] > 0
+    assert u.T @ u == pytest.approx(np.eye(r), abs=1e-12)
+    assert vt @ vt.T == pytest.approx(np.eye(r), abs=1e-12)
+    _, full, _ = top_svd(a)
+    s0 = full[0] if full[0] > 0.0 else 1.0
+    eu, es, evt = top_svd(a, r)
+    assert s / s0 == pytest.approx(es / s0, rel=0, abs=1e-12)
+    resid = float(np.sum((a / s0 - _reconstruct(u, s / s0, vt)) ** 2))
+    assert resid == pytest.approx(float(np.sum((full[r:] / s0) ** 2)), rel=0, abs=1e-12)
+    if 0 < r < min(m, n) and full[r - 1] - full[r] > 1e-6 * s0:
+        assert np.abs(u @ u.T - eu @ eu.T).max() <= 1e-11 * s0 / (full[r - 1] - full[r])
+        assert np.abs(vt.T @ vt - evt.T @ evt).max() <= 1e-11 * s0 / (full[r - 1] - full[r])
+    if r == 0 or r == min(m, n) or not a.any():
+        assert np.array_equal(u, eu) and np.array_equal(s, es) and np.array_equal(vt, evt)
 
 
 def test_row_space_basis_shapes():

@@ -1,5 +1,5 @@
 """One implementation per job: singular vectors, the least-squares fallback
-and the SVD call site all live in ``sjive.linalg``."""
+and the SVD, eigh and QR call sites all live in ``sjive.linalg``."""
 
 import re
 import warnings
@@ -33,6 +33,9 @@ def test_svd_and_pinv_fallback_only_in_linalg():
         # Singular values alone (compute_uv=False) are fine anywhere.
         offenders += [f"{path.name}: svd({args})" for args in _calls(text, "linalg.svd")
                       if "compute_uv=False" not in args]
+        for name in ("eigh", "qr"):
+            offenders += [f"{path.name}: {name}({args})"
+                          for args in _calls(text, f"linalg.{name}")]
         if "LinAlgError" in text:
             offenders.append(f"{path.name}: LinAlgError fallback")
     assert offenders == []
@@ -75,5 +78,6 @@ def test_svd_is_looked_up_at_call_time(monkeypatch):
     rng = np.random.default_rng(3)
     _, report = fit([rng.normal(size=(6, 9)), rng.normal(size=(5, 9))], rng.normal(size=9),
                     FitConfig(eta=0.5, ranks=Ranks(1, (1, 1)), max_iter=3))
-    # one joint and one individual SVD per block, at the start and per iteration
+    # one joint and one individual SVD per block, at the start and per
+    # iteration: the default path's kernel factors through one small SVD
     assert len(calls) == 3 * (report.iterations + 1)
