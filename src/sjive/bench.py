@@ -18,6 +18,7 @@ import numpy as np
 
 from .baselines import baseline_predict, fit_jive_predict, fit_pca_regression
 from .core import FitConfig, Ranks, fit
+from .errors import ConfigError
 from .linalg import BLAS_THREAD_VARS
 from .metrics import test_mse, win_rate
 from .predict import estimate_scores, predict
@@ -171,6 +172,8 @@ def run_benchmark(
     differ from a serial run under threaded BLAS only by rounding (at most
     7e-15 relative on the MSEs at p = (150, 150), n = 150 on a 2-CPU VM).
     """
+    if reps < 1:
+        raise ConfigError(f"reps must be at least 1, got {reps}")
     jobs = [(sim_cfg, r, n_test, eta, max_iter, tol) for r in range(reps)]
     if threads > 1:
         results = map_single_threaded(_worker, jobs, workers=threads)

@@ -38,36 +38,46 @@ from .simulate import SimConfig, generate
 
 def _read_sim_config(path, seed=None):
     """Parse a key = value config file with a [simulation] section; a
-    ``seed`` that is not None overrides the file's seed."""
+    ``seed`` that is not None overrides the file's seed. A missing required
+    key or a value that does not parse is a ConfigError naming the key."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if "simulation" not in parser:
         raise ConfigError(f"{path}: missing [simulation] section")
     sec = parser["simulation"]
 
-    def ints(key):
-        return tuple(int(v.strip()) for v in sec[key].split(","))
+    def value(key, kind, fallback=None):
+        if key not in sec:
+            if fallback is None:
+                raise ConfigError(f"{path}: [simulation] has no {key!r} key")
+            return fallback
+        try:
+            return kind(sec[key])
+        except (configparser.Error, ValueError):
+            raise ConfigError(f"{path}: {key} = {sec.get(key, raw=True)!r} is not valid") from None
 
-    try:
-        cfg = SimConfig(
-            k=sec.getint("k"),
-            p=ints("p"),
-            n=sec.getint("n"),
-            rank_joint=sec.getint("rank_joint"),
-            rank_indiv=ints("rank_indiv"),
-            w_joint=sec.getfloat("w_joint", fallback=1.0),
-            w_indiv=sec.getfloat("w_indiv", fallback=1.0),
-            x_err=sec.getfloat("x_err", fallback=0.0),
-            y_err=sec.getfloat("y_err", fallback=0.0),
-            r_prop=sec.getfloat("r_prop", fallback=1.0),
-            seed=sec.getint("seed", fallback=0) if seed is None else seed,
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    n_test = sec.getint("n_test", fallback=cfg.n)
-    return cfg, n_test
+    def ints(text):
+        return tuple(int(v.strip()) for v in text.split(","))
+
+    cfg = SimConfig(
+        k=value("k", int),
+        p=value("p", ints),
+        n=value("n", int),
+        rank_joint=value("rank_joint", int),
+        rank_indiv=value("rank_indiv", ints),
+        w_joint=value("w_joint", float, 1.0),
+        w_indiv=value("w_indiv", float, 1.0),
+        x_err=value("x_err", float, 0.0),
+        y_err=value("y_err", float, 0.0),
+        r_prop=value("r_prop", float, 1.0),
+        seed=value("seed", int, 0) if seed is None else seed,
+    )
+    return cfg, value("n_test", int, cfg.n)
 
 
 def _write_manifest(outdir: Path, command: str, params: dict, seed, runtime: float):
@@ -200,6 +210,7 @@ def _cmd_fit(args, outdir):
         "iterations": report.iterations,
         "final_objective": repr(report.final_objective),
         "dropped_variables": ";".join(dropped) if dropped else "none",
+        "degenerate": ";".join(model.degenerate) or "none",
         **cv_counts,
     }
     summary = (

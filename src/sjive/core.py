@@ -25,7 +25,7 @@ import numpy as np
 from . import data as _data
 from .data import BlockScaler, MultiSourceDataset, Outcome, OutcomeScaler, decompress_loadings
 from .errors import ConfigError, DegeneracyError, RankError, ShapeError, SJiveError
-from .linalg import rank_mask, regress_on_rows, top_factors, top_svd, unit_frame
+from .linalg import RANK_TOL, regress_on_rows, top_factors, top_svd, unit_frame
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,15 @@ def _outcome_values(y):
     return vals, None
 
 
-def _truncated_left_scores(m: np.ndarray, r: int, factorize):
+def _truncated_left_scores(m: np.ndarray, r: int, factorize, floor: float):
     """Top-r left singular vectors L, scores L^T m, and an orthonormal basis
     (columns) of the row space of the scores; ``factorize`` is ``top_svd``
-    or ``top_factors``."""
+    or ``top_factors``. A component whose singular value is at most
+    ``floor`` carries no signal: its score row is zero and the basis leaves
+    it out."""
     u, s, vt = factorize(m, r)
-    return u, s[:, None] * vt, vt[rank_mask(s)].T
+    keep = s > floor
+    return u, np.where(keep[:, None], s[:, None] * vt, 0.0), vt[keep].T
 
 
 def _sweep(stacked, offsets, ranks: Ranks, parts, factorize):
@@ -194,28 +197,22 @@ def _sweep(stacked, offsets, ranks: Ranks, parts, factorize):
     parts, taken in one SVD so loadings and scores stay consistent.
     Individual updates: each block residual is projected onto the orthogonal
     complement of the joint score rows, which keeps row(S_i) perpendicular
-    to row(S_J).
+    to row(S_J). Every update zeroes the components whose singular value is
+    at most RANK_TOL ||stacked||_F.
     """
+    floor = RANK_TOL * float(np.linalg.norm(stacked))
     R = stacked.copy()
     for (a, b), part in zip(offsets, parts):
         R[a:b] -= part[:-1]
     y_ind = sum(part[-1] for part in parts)
     R[-1] -= y_ind
-    L, S_J, V = _truncated_left_scores(R, ranks.joint, factorize)
-    # Components whose singular value fails rank_mask (a joint rank above
-    # the data's row rank) are rounding error: zero their scores. V holds
-    # the kept ones, which come first.
-    S_J[V.shape[1]:] = 0.0
+    L, S_J, V = _truncated_left_scores(R, ranks.joint, factorize, floor)
     resid = stacked - L @ S_J
     F, S, new_parts = [], [], []
     for i, ((a, b), part) in enumerate(zip(offsets, parts)):
         y_others = y_ind - part[-1]
         Ri = np.vstack([resid[a:b], (resid[-1] - y_others)[None, :]])
-        if ranks.joint == Ri.shape[1]:
-            # Rank n reproduces any n-column matrix, so the joint part takes
-            # everything; what the projection would leave is rounding error.
-            Ri[:] = 0.0
-        elif V.shape[1]:
+        if V.shape[1]:
             along = Ri @ V
             Ri -= along @ V.T
             # When the projection removed nearly everything, the remainder is
@@ -223,7 +220,7 @@ def _sweep(stacked, offsets, ranks: Ranks, parts, factorize):
             # pass removes it ("twice is enough").
             if np.linalg.norm(Ri) < 1e-3 * np.linalg.norm(along):
                 Ri -= (Ri @ V) @ V.T
-        Fi, Si, _ = _truncated_left_scores(Ri, ranks.individual[i], factorize)
+        Fi, Si, _ = _truncated_left_scores(Ri, ranks.individual[i], factorize, floor)
         F.append(Fi)
         S.append(Si)
         new_parts.append(Fi @ Si)
@@ -393,52 +390,38 @@ def rescale_identifiable(model: SJiveModel) -> SJiveModel:
     For supervised fits (eta < 1) the outcome coefficients are part of the
     stacked blocks; at eta = 1 they were obtained post hoc and stay outside
     the norm, so the unsupervised decomposition keeps a gauge that does not
-    depend on the outcome. All-zero blocks are left untouched and flagged
-    in ``degenerate``; so are individual parts whose scores are all zero,
-    after their loadings and coefficients are set to zero, so new samples
-    get zero scores there. A joint component whose score row is all zero
-    is treated the same way and flagged as "joint component j".
+    depend on the outcome. The joint frame and each individual frame are
+    treated alike: a component whose score row is all zero carries no
+    signal, so its loadings and coefficient are set to zero (new samples
+    get zero scores there) and it is flagged in ``degenerate`` as
+    "joint component j" or "individual i component j". A frame that is all
+    zero is left unscaled and flagged as "joint" or "individual i" alone.
     """
     in_frame = model.eta < 1.0
-    U, S_J, th1 = model.joint_loadings, model.joint_scores, model.theta_joint
-    W, S = list(model.indiv_loadings), list(model.indiv_scores)
-    th2 = None if model.theta_indiv is None else list(model.theta_indiv)
-    flags = []
-    if model.ranks.joint > 0:
-        dead = ~S_J.any(axis=1)
+    frames = [("joint", model.joint_loadings, model.joint_scores, model.theta_joint)]
+    frames += [(f"individual {i + 1}", [w], s, th) for i, (w, s, th) in enumerate(
+        zip(model.indiv_loadings, model.indiv_scores, model.theta_indiv or [None] * model.k))]
+    flags, out = [], []
+    for name, loadings, scores, theta in frames:
+        dead = ~scores.any(axis=1)
         if dead.any():
-            U = [np.where(dead, 0.0, u) for u in U]
-            th1 = None if th1 is None else np.where(dead, 0.0, th1)
-            flags += [f"joint component {j + 1}" for j in np.flatnonzero(dead)]
-        framed = unit_frame(U, S_J, th1, theta_in_norm=in_frame)
-        if framed is None:
-            flags.append("joint")
-        else:
-            U, S_J, th1 = framed
-    for i, r in enumerate(model.ranks.individual):
-        if r == 0:
-            continue
-        if not S[i].any():
-            # Nothing left outside row(S_J) (joint rank n): the loadings came
-            # from the SVD of a zero matrix and carry no structure.
-            W[i] = np.zeros_like(W[i])
-            if th2 is not None:
-                th2[i] = np.zeros_like(th2[i])
-        framed = unit_frame([W[i]], S[i], None if th2 is None else th2[i],
-                            theta_in_norm=in_frame)
-        if framed is None:
-            flags.append(f"individual {i + 1}")
-            continue
-        (W[i],), S[i], theta = framed
-        if th2 is not None:
-            th2[i] = theta
+            loadings = [np.where(dead, 0.0, u) for u in loadings]
+            theta = None if theta is None else np.where(dead, 0.0, theta)
+        framed = unit_frame(loadings, scores, theta, theta_in_norm=in_frame)
+        if framed is not None:
+            flags += [f"{name} component {j + 1}" for j in np.flatnonzero(dead)]
+            loadings, scores, theta = framed
+        elif scores.shape[0]:
+            flags.append(name)
+        out.append((loadings, scores, theta))
+    (U, S_J, th1), *indiv = out
     return replace(
         model,
         joint_loadings=list(U),
         joint_scores=S_J,
-        indiv_loadings=W,
-        indiv_scores=S,
+        indiv_loadings=[w for (w,), _, _ in indiv],
+        indiv_scores=[s for _, s, _ in indiv],
         theta_joint=th1,
-        theta_indiv=th2,
+        theta_indiv=None if model.theta_indiv is None else [th for *_, th in indiv],
         degenerate=tuple(flags),
     )

@@ -245,6 +245,26 @@ def test_cli_error_paths(simdir, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+@pytest.mark.parametrize("old, new, key", [("k = 2\n", "", "'k'"),
+                                           ("n_test = 12", "n_test = twelve", "n_test")],
+                         ids=["missing-k", "malformed-n_test"])
+def test_config_errors_name_file_and_key(tmp_path, capsys, command, old, new, key):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CFG.replace(old, new), encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and key in err
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_benchmark_rejects_reps_below_one(simdir, tmp_path, capsys, reps):
+    cfg, _ = simdir
+    assert main(["benchmark", "--config", str(cfg), "--reps", reps,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: reps must be at least 1, got {reps}\n"
+
+
 def test_cli_drop_constant_and_ranks_parsing(tmp_path):
     x = tmp_path / "x.csv"
     x.write_text(
@@ -294,6 +314,23 @@ def test_fit_drop_constant_with_rank_selection(tmp_path):
     assert rc == 0
     manifest = (outdir / "manifest.txt").read_text(encoding="utf-8")
     assert f"dropped_variables = block1:{rows[1][0]}" in manifest
+
+
+def test_fit_manifest_lists_degenerate_components(tmp_path):
+    # Five standardized samples hold four directions, so joint rank 2
+    # leaves room for two individual components in block 1, not three.
+    rng = np.random.default_rng(0)
+    samples = [f"s{j}" for j in range(1, 6)]
+    paths = []
+    for name, rows in [("X1", 8), ("X2", 7), ("y", 1)]:
+        paths.append(tmp_path / f"{name}.csv")
+        write_csv(paths[-1], rng.normal(size=(rows, 5)),
+                  [f"{name}_{i}" for i in range(rows)], samples)
+    for ranks, expected in [("2,3,0", "individual 1 component 3"), ("2,2,0", "none")]:
+        out = tmp_path / ranks
+        assert main(["fit", "--x", str(paths[0]), "--x", str(paths[1]), "--y", str(paths[2]),
+                     "--ranks", ranks, "--out", str(out)]) == 0
+        assert _manifest_value(out, "degenerate") == expected
 
 
 def _modules_loaded_by_cli_import(prefixes):

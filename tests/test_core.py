@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -399,13 +401,29 @@ def test_joint_rank_n_leaves_flagged_empty_individual_parts(eta):
                                        standardized=True), atol=1e-10)
 
 
+def _over_rank_cases():
+    """(seed, eta, ranks asked, ranks the data holds, flagged components,
+    compress); the joint case on the default path keeps its "seed-eta" id."""
+    cases = [
+        ((5, 0, 0), (4, 0, 0), [("joint", 5)]),
+        ((2, 3, 0), (2, 2, 0), [("individual 1", 3)]),
+        ((2, 4, 0), (2, 2, 0), [("individual 1", 3), ("individual 1", 4)]),
+        ((3, 2, 0), (3, 1, 0), [("individual 1", 2)]),
+    ]
+    for (over, exact, dead), compress, eta, seed in itertools.product(
+            cases, (True, False), (0.5, 1.0), (0, 1, 2)):
+        suffix = "" if (over, compress) == ((5, 0, 0), True) else (
+            f"-{Ranks(over[0], over[1:])}-{'compressed' if compress else 'raw'}")
+        yield pytest.param(seed, eta, over, exact, dead, compress, id=f"{seed}-{eta}{suffix}")
+
+
 @pytest.mark.filterwarnings("ignore:score Gram matrix is singular")
-@pytest.mark.parametrize("eta", [0.5, 1.0])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_joint_rank_above_row_rank_is_zeroed_and_flagged(eta, seed):
-    # Standardized data has row rank n - 1, so a fifth joint component at
-    # n = 5 is rounding error: it is zeroed and flagged, and new samples are
-    # predicted as by the joint-rank-4 fit.
+@pytest.mark.parametrize("seed, eta, over, exact, dead, compress", _over_rank_cases())
+def test_joint_rank_above_row_rank_is_zeroed_and_flagged(seed, eta, over, exact, dead, compress):
+    # Standardized data has row rank n - 1 = 4, so ranks that ask for more
+    # components than that, joint or individual, get components that are
+    # rounding error: they are zeroed and flagged, and new samples are
+    # predicted as by the fit without them.
     from sjive.data import Outcome, standardize, standardize_with
     from sjive.predict import estimate_scores, predict
 
@@ -414,12 +432,17 @@ def test_joint_rank_above_row_rank_is_zeroed_and_flagged(eta, seed):
         [rng.normal(size=(8, 5)), rng.normal(size=(7, 5))]), Outcome(rng.normal(size=5)))
     new = standardize_with(sjive.data.MultiSourceDataset.from_arrays(
         [rng.normal(size=(8, 9)), rng.normal(size=(7, 9))]), data.standardization)
-    over, _ = fit(data, y, FitConfig(eta=eta, ranks=Ranks(5, (0, 0))))
-    exact, _ = fit(data, y, FitConfig(eta=eta, ranks=Ranks(4, (0, 0))))
-    assert over.degenerate == ("joint component 5",)
-    assert exact.degenerate == ()
-    assert not over.joint_scores[4].any() and not over.theta_joint[4]
-    assert not any(u[:, 4].any() for u in over.joint_loadings)
-    np.testing.assert_allclose(
-        predict(over, estimate_scores(over, new), standardized=True),
-        predict(exact, estimate_scores(exact, new), standardized=True), rtol=0, atol=1e-10)
+    models = [fit(data, y, FitConfig(eta=eta, ranks=Ranks(r[0], r[1:])), compress=compress)[0]
+              for r in (over, exact)]
+    assert models[0].degenerate == tuple(f"{name} component {j}" for name, j in dead)
+    assert models[1].degenerate == ()
+    frames = {"joint": (models[0].joint_loadings, models[0].joint_scores, models[0].theta_joint),
+              "individual 1": ([models[0].indiv_loadings[0]], models[0].indiv_scores[0],
+                               models[0].theta_indiv[0])}
+    for name, j in dead:
+        loadings, scores, theta = frames[name]
+        assert not scores[j - 1].any() and not theta[j - 1]
+        assert not any(u[:, j - 1].any() for u in loadings)
+    over_pred, exact_pred = (predict(m, estimate_scores(m, new), standardized=True)
+                             for m in models)
+    np.testing.assert_allclose(over_pred, exact_pred, rtol=0, atol=1e-10)

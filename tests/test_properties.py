@@ -1,7 +1,9 @@
 """Property tests of the model's four invariants on both fit paths (tall
 blocks compressed or not): the objective never rises, row(S_i) is
 orthogonal to row(S_J), every stacked frame not flagged degenerate has unit
-norm, and eta = 1 gives the unsupervised decomposition."""
+norm, and eta = 1 gives the unsupervised decomposition. Alongside them: a
+component is flagged degenerate exactly when its score row is all zero,
+and then its loadings and outcome coefficient are zero too."""
 
 import numpy as np
 import pytest
@@ -66,6 +68,18 @@ def test_fit_invariants(compress, problem):
             frames.append(model.stacked_indiv_frame(i) if supervised else model.indiv_loadings[i])
     for frame in frames:
         assert np.linalg.norm(frame) == pytest.approx(1.0, abs=1e-10)
+    thetas = model.theta_indiv or [None] * model.k
+    for name, loadings, scores, theta in [
+        ("joint", model.joint_loadings, model.joint_scores, model.theta_joint),
+        *((f"individual {i + 1}", [w], s, th) for i, (w, s, th) in
+          enumerate(zip(model.indiv_loadings, model.indiv_scores, thetas))),
+    ]:
+        for j, row in enumerate(scores):
+            flagged = {name, f"{name} component {j + 1}"} & set(model.degenerate)
+            assert bool(flagged) == (not row.any())
+            if flagged:
+                assert not any(u[:, j].any() for u in loadings)
+                assert theta is None or not theta[j]
 
 
 @pytest.mark.parametrize("compress", [True, False])
