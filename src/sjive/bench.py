@@ -77,6 +77,8 @@ def run_replicate(
     """
     if n_test is None:
         n_test = sim_cfg.n
+    if n_test < 1:
+        raise ConfigError(f"n_test must be at least 1, got {n_test}")
     total_cfg = replace(sim_cfg, n=sim_cfg.n + n_test, seed=sim_cfg.seed + rep)
     data, y, truth = generate(total_cfg)
     train_x, train_y, test_x, test_y = train_test_split(data, y, sim_cfg.n)

@@ -77,7 +77,10 @@ def _read_sim_config(path, seed=None):
         r_prop=value("r_prop", float, 1.0),
         seed=value("seed", int, 0) if seed is None else seed,
     )
-    return cfg, value("n_test", int, cfg.n)
+    n_test = value("n_test", int, cfg.n)
+    if n_test < 1:
+        raise ConfigError(f"{path}: n_test = {n_test} must be at least 1")
+    return cfg, n_test
 
 
 def _write_manifest(outdir: Path, command: str, params: dict, seed, runtime: float):

@@ -6,8 +6,17 @@ from pathlib import Path
 import pytest
 
 import sjive
-from sjive.bench import run_benchmark
+from sjive.bench import run_benchmark, run_replicate
+from sjive.errors import ConfigError
 from sjive.simulate import SimConfig
+
+
+def test_run_replicate_rejects_n_test_below_one():
+    cfg = SimConfig(k=2, p=(10, 8), n=16, rank_joint=1, rank_indiv=(1, 1), seed=31)
+    for n_test in (0, -3):
+        with pytest.raises(ConfigError) as info:
+            run_replicate(cfg, 0, n_test=n_test)
+        assert str(info.value) == f"n_test must be at least 1, got {n_test}"
 
 
 def test_run_benchmark_workers_match_serial():

@@ -245,10 +245,23 @@ def test_cli_error_paths(simdir, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
 
+def test_fit_rejects_non_utf8_csv(simdir, tmp_path, capsys):
+    # A Latin-1 export is a ParseError naming the file, not a traceback.
+    _, data = simdir
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes((data / "X1.csv").read_text(encoding="utf-8")
+                      .replace("\n", "\n\u00e9", 2).encode("latin-1"))
+    capsys.readouterr()
+    assert main(["fit", "--x", str(latin), "--x", str(data / "X2.csv"), "--y", str(data / "y.csv"),
+                 "--eta", "0.5", "--ranks", "1,1,1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {latin}: not UTF-8 text (invalid continuation byte)\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "benchmark"])
 @pytest.mark.parametrize("old, new, key", [("k = 2\n", "", "'k'"),
-                                           ("n_test = 12", "n_test = twelve", "n_test")],
-                         ids=["missing-k", "malformed-n_test"])
+                                           ("n_test = 12", "n_test = twelve", "n_test"),
+                                           ("n_test = 12", "n_test = 0", "n_test = 0")],
+                         ids=["missing-k", "malformed-n_test", "zero-n_test"])
 def test_config_errors_name_file_and_key(tmp_path, capsys, command, old, new, key):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(SIM_CFG.replace(old, new), encoding="utf-8")

@@ -1,6 +1,5 @@
 import csv
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from sjive.data import (
     Outcome,
     compress,
     decompress_loadings,
-    destandardize_block,
     destandardize_outcome,
     load_csv,
     standardize,
@@ -22,7 +20,6 @@ from sjive.data import (
     write_csv,
 )
 from oracles import reference_load_csv
-from sjive import data as data_module
 from sjive.errors import DegeneracyError, ParseError, ShapeError
 
 
@@ -93,27 +90,36 @@ def test_write_read_roundtrip(tmp_path):
     assert np.array_equal(m.values, vals)
 
 
-# Quoted ids (one holding a comma), padded cells, exponents, signed zeros,
-# digit separators and non-ASCII digits, and a blank line between rows.
+# Quoted ids (one holding a comma), padded cells, exponents, signed zeros
+# and a blank line between rows.
 _AWKWARD = (
     'id,"s,1", s2 ,s3,s4\n'
     '"v,1", 1 ,1e3,-0,+2\n'
     '\n'
-    'v2,\t-1.5e-3 ,1_000,\u0661\u0662,\uff13\n'
+    'v2,\t-1.5e-3 ,1E3,+12.,3e0\n'
     '" v3 ",0.1,.5,5.,-0.0\n'
 )
+# CRLF line ends, blank lines before the header and between rows, padded
+# ids and cells, and no line end after the last row.
+_BLANK_LINES = "\r\nid, s1 ,s2\r\n\r\n v1 ,1,-0\r\nv2,\t3 , 4e-3"
 
 
 @pytest.mark.parametrize("samples_in_rows", [False, True])
 def test_load_csv_matches_per_cell_reference(tmp_path, samples_in_rows):
-    path = _write(tmp_path, "x.csv", _AWKWARD)
-    values, row_ids, col_ids = reference_load_csv(path)
-    assert values[1].tolist() == [-1.5e-3, 1000.0, 12.0, 3.0]
-    m = load_csv(path, samples_in_rows=samples_in_rows)
-    if samples_in_rows:
-        values, row_ids, col_ids = values.T, col_ids, row_ids
-    assert m.values.tobytes() == values.tobytes()  # bitwise, so -0.0 stays negative
-    assert m.row_ids == row_ids and m.col_ids == col_ids
+    for text in (_AWKWARD, _BLANK_LINES):
+        path = _write(tmp_path, "x.csv", text)
+        values, row_ids, col_ids = reference_load_csv(path)
+        m = load_csv(path, samples_in_rows=samples_in_rows)
+        if samples_in_rows:
+            values, row_ids, col_ids = values.T, col_ids, row_ids
+        assert m.values.flags.c_contiguous
+        assert m.values.tobytes() == np.ascontiguousarray(values).tobytes()  # bitwise: -0.0 stays
+        assert m.row_ids == row_ids and m.col_ids == col_ids
+    assert load_csv(_write(tmp_path, "a.csv", _AWKWARD)).values[1].tolist() == [
+        -1.5e-3, 1000.0, 12.0, 3.0]
+    m = load_csv(_write(tmp_path, "b.csv", _BLANK_LINES))
+    assert m.values.tobytes() == np.array([[1.0, -0.0], [3.0, 4e-3]]).tobytes()
+    assert m.row_ids == ["v1", "v2"] and m.col_ids == ["s1", "s2"]
 
 
 def test_load_csv_random_values_bitwise(tmp_path):
@@ -134,6 +140,10 @@ def test_load_csv_random_values_bitwise(tmp_path):
         ("v1,1,1e999\n", "non-finite value '1e999' at row 'v1', column 's2'"),
         ("v1,1,2\n v2 ,1\n", "row 3 ('v2') has 1 values, expected 2"),
         ("v1,1,2,3\n", "row 2 ('v1') has 3 values, expected 2"),
+        # float() reads these three; np.loadtxt, R and pandas do not.
+        ("v1,1,2\nv2,3,1_000\n", "non-numeric value '1_000' at row 'v2', column 's2'"),
+        ("v1,\u0661\u0662,2\n", "non-numeric value '\u0661\u0662' at row 'v1', column 's1'"),
+        ("v1,1,\uff13\n", "non-numeric value '\uff13' at row 'v1', column 's2'"),
     ],
 )
 def test_load_csv_error_messages(tmp_path, body, message):
@@ -158,94 +168,41 @@ def test_load_csv_header_errors(tmp_path):
         load_csv(path)
 
 
-def test_load_csv_falls_back_to_cell_scan(tmp_path, monkeypatch):
-    # Should the one-call conversion reject a row that float() accepts, the
-    # row's values come from the cell-by-cell scan, never from a stale row.
-    class RejectingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def array(obj, *args, **kwargs):
-            if isinstance(obj, list) and "6" in obj:
-                raise ValueError("rejected")
-            return np.array(obj, *args, **kwargs)
-
-    path = _write(tmp_path, "x.csv", "id,s1,s2\nv1,1,2\nv2,6,7\nv3,8,9\n")
-    monkeypatch.setattr(data_module, "np", RejectingNumpy())
-    assert load_csv(path).values.tolist() == [[1.0, 2.0], [6.0, 7.0], [8.0, 9.0]]
-
-
-def test_load_csv_declined_file_still_scans_cells(tmp_path, monkeypatch):
-    # Companion to the test above: a quoted id makes the one-call parse
-    # decline, and the streamed reader's cell-by-cell scan takes the row
-    # its one-call conversion rejects.
-    class RejectingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def array(obj, *args, **kwargs):
-            if isinstance(obj, list) and "6" in obj:
-                raise ValueError("rejected")
-            return np.array(obj, *args, **kwargs)
-
-    scanned = []
-
-    def spy_scan(path, row, rid, col_ids):
-        scanned.append(rid)
-        return scan(path, row, rid, col_ids)
-
-    scan = data_module._scan_row
-    path = _write(tmp_path, "x.csv", 'id,s1,s2\n"v1",1,2\nv2,6,7\nv3,8,9\n')
-    assert data_module._load_plain(path) is None
-    monkeypatch.setattr(data_module, "np", RejectingNumpy())
-    monkeypatch.setattr(data_module, "_scan_row", spy_scan)
-    assert load_csv(path).values.tolist() == [[1.0, 2.0], [6.0, 7.0], [8.0, 9.0]]
-    assert scanned == ["v2"]
-
-
-def test_load_csv_plain_file_needs_no_streamed_reader(tmp_path, monkeypatch):
-    # A plain table is parsed in one call; were it silently handed to the
-    # streamed reader every time, this would fail.
-    def refuse(path):
-        raise AssertionError("streamed reader used for a plain table")
-
-    rng = np.random.default_rng(4)
-    vals = rng.normal(size=(6, 5))
-    path = tmp_path / "m.csv"
-    write_csv(path, vals, [f"v{i}" for i in range(6)], [f"s{j}" for j in range(5)])
-    blank_lines = _write(tmp_path, "b.csv", "\r\nid, s1 ,s2\r\n\r\n v1 ,1,-0\r\nv2,\t3 , 4e-3")
-    monkeypatch.setattr(data_module, "_load_streamed", refuse)
-    for samples_in_rows in (False, True):
-        m = load_csv(path, samples_in_rows=samples_in_rows)
-        expected = vals.T if samples_in_rows else vals
-        assert m.values.tobytes() == np.ascontiguousarray(expected).tobytes()
-    m = load_csv(blank_lines)
-    assert m.values.tobytes() == np.array([[1.0, -0.0], [3.0, 4e-3]]).tobytes()
-    assert m.row_ids == ["v1", "v2"] and m.col_ids == ["s1", "s2"]
-
-
 def test_load_csv_overlong_field_left_to_csv(tmp_path):
-    # csv.reader refuses a field over its size limit; the one-call parse
-    # declines such a file rather than accept it.
+    # The header is split by csv.reader, whose field size limit stands; a
+    # body id of any length goes to np.loadtxt and loads.
     long_id = "v" * (csv.field_size_limit() + 1)
     path = _write(tmp_path, "x.csv", f"id,s1\n{long_id},1\n")
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    assert load_csv(path).row_ids == [long_id]
+    path = _write(tmp_path, "y.csv", f"id,{long_id}\nv1,1\n")
+    with pytest.raises(ParseError) as info:
+        load_csv(path)
+    assert str(info.value).startswith(f"{path}: field larger than field limit")
+
+
+def test_load_csv_not_utf8(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes("id,s1,s2\nv\u00e9,1,2\n".encode("latin-1"))
+    with pytest.raises(ParseError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (invalid continuation byte)"
+    path.write_bytes("id,s\u00e9,s2\nv1,1,2\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8 text"):
         load_csv(path)
 
 
 _REPR_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 _PAD = st.sampled_from(["", " ", "\t", " \t "])
-# Cells float() accepts, some of which numpy's C parser rejects.
 _GOOD_CELLS = st.one_of(
     _REPR_FLOATS,
     st.sampled_from(["-0.0", "0.0", "5e-324", "-2.225073858507201e-308", "1e300",
                      "-1e-300", "1.7976931348623157e+308"]),
     st.tuples(_PAD, _REPR_FLOATS, _PAD).map("".join),
-    st.sampled_from(["1_000", "\u0661\u0662", "\uff13"]),
 )
-_BAD_CELLS = st.sampled_from(["nan", "-inf", "inf", "1e999", "", "NA", "#1"])
+# Non-numeric or non-finite cells, and three that float() reads but
+# load_csv rejects: a digit separator and non-ASCII digits.
+_BAD_CELLS = st.sampled_from(["nan", "-inf", "inf", "1e999", "", "NA", "#1",
+                              "1_000", "\u0661\u0662", "\uff13"])
 
 
 @st.composite
@@ -284,20 +241,33 @@ def _csv_texts(draw):
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
+def _reference_or_none(path):
+    """reference_load_csv's table, or None where it fails or gives no
+    valid table: ragged or header-only, no sample id, a non-finite value."""
+    try:
+        values, row_ids, col_ids = reference_load_csv(path)
+    except (ValueError, IndexError):
+        return None
+    if values.ndim != 2 or not col_ids or values.shape[1] != len(col_ids):
+        return None
+    return (values, row_ids, col_ids) if np.isfinite(values).all() else None
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=_csv_texts(), samples_in_rows=st.booleans())
 def test_load_csv_matches_reference_or_streamed_error(tmp_path_factory, text, samples_in_rows):
+    # A table loads bit for bit as the per-cell float() reference reads it.
+    # ParseError comes exactly where the reference fails or a cell holds a
+    # digit separator or non-ASCII digits (the table's only non-ASCII text).
     path = tmp_path_factory.mktemp("csv") / "x.csv"
     path.write_bytes(text.encode("utf-8"))
-    try:
-        m = load_csv(path, samples_in_rows=samples_in_rows)
-    except ParseError as exc:
-        with mock.patch.object(data_module, "_load_plain", lambda path: None):
-            with pytest.raises(ParseError) as streamed:
-                load_csv(path, samples_in_rows=samples_in_rows)
-        assert str(exc) == str(streamed.value)
+    expected = _reference_or_none(path)
+    if expected is None or "_" in text or not text.isascii():
+        with pytest.raises(ParseError):
+            load_csv(path, samples_in_rows=samples_in_rows)
         return
-    values, row_ids, col_ids = reference_load_csv(path)
+    m = load_csv(path, samples_in_rows=samples_in_rows)
+    values, row_ids, col_ids = expected
     if samples_in_rows:
         values, row_ids, col_ids = values.T, col_ids, row_ids
     assert m.values.shape == values.shape
@@ -349,7 +319,8 @@ def test_standardize_inversion():
     data = MultiSourceDataset.from_arrays([block])
     y = Outcome(rng.normal(size=12) * 5.0 + 3.0)
     std, ystd = standardize(data, y)
-    back = destandardize_block(std.blocks[0], std.standardization[0])
+    sc = std.standardization[0]
+    back = std.blocks[0] * sc.sds[:, None] + sc.means[:, None]
     assert back == pytest.approx(block, abs=1e-10)
     yback = destandardize_outcome(ystd.values, ystd.standardization)
     assert yback == pytest.approx(y.values, abs=1e-10)
