@@ -3,15 +3,17 @@
 Generated data is already variance-scaled, so fits run on it directly and
 test MSEs are on the standardized scale throughout (a mean-only predictor
 scores about 1). Replicate r uses generator seed base_seed + r.
+
+Replicates go through the one parallel map of the package,
+``selection._in_order``, which also fits the CV folds: threads sized by
+``linalg.parallel_workers()``, serial by default, and serial whenever it
+is called off the main thread, so a cross-validated replicate on a pool
+thread starts no second pool.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,10 +21,9 @@ import numpy as np
 from .baselines import baseline_predict, fit_jive_predict, fit_pca_regression
 from .core import FitConfig, Ranks, fit
 from .errors import ConfigError
-from .linalg import BLAS_THREAD_VARS
 from .metrics import test_mse, win_rate
 from .predict import estimate_scores, predict
-from .selection import make_cv_plan, select_model
+from .selection import _in_order, make_cv_plan, select_model
 from .simulate import SimConfig, eigen_signal_report, generate, train_test_split
 
 # Weights tried by ``eta="cv"``: a coarser grid than the CLI's, since every
@@ -115,72 +116,25 @@ def run_replicate(
     )
 
 
-def map_single_threaded(func, items, workers: int = 2) -> list:
-    """``list(map(func, items))`` run in ``workers`` fresh (spawned)
-    processes whose BLAS uses one thread.
-
-    For independent, deterministic cases the results equal those of a
-    serial run whose BLAS also uses one thread; threaded BLAS may round
-    differently in the last bits. The single BLAS thread matters: on two
-    CPUs, four rank selections took 144 s serially, 373 s in two forked
-    workers that kept the parent's threaded BLAS, and 87 s in two
-    single-threaded workers. The calling process keeps its own BLAS
-    setting. Inside a worker, a cross-validated selection still fits each
-    candidate's folds on ``linalg.parallel_workers()`` threads, which with
-    BLAS on one thread is the worker's usable CPU count.
-    Workers import the caller's main module, so a script that
-    calls this needs the ``if __name__ == "__main__":`` guard; a worker
-    that dies raises ``BrokenProcessPool`` naming that guard.
-    """
-    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        # Workers start inside pool.map, so they all see the setting.
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(func, items))
-    except BrokenProcessPool as exc:
-        raise BrokenProcessPool(
-            "a worker process died before returning its result; the likely cause "
-            "is a calling script without an 'if __name__ == \"__main__\":' guard, "
-            "whose module-level code each spawned worker runs again on import"
-        ) from exc
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
-def _worker(args) -> ReplicateResult:
-    return run_replicate(*args)
-
-
 def run_benchmark(
     sim_cfg: SimConfig,
     reps: int,
     n_test: int | None = None,
     eta: float | str = 0.5,
-    threads: int = 1,
     max_iter: int = 1000,
     tol: float = 1e-6,
 ) -> BenchmarkResult:
-    """Run ``reps`` replicates, in ``threads`` worker processes when above 1.
+    """Run replicates 0..reps-1 on the package's parallel map (see the
+    module docstring) and return them in order.
 
-    Workers are spawned with single-threaded BLAS (``map_single_threaded``,
-    whose main-module caveat applies). Results are keyed by replicate
-    index; they equal a serial run's under single-threaded BLAS, and
-    differ from a serial run under threaded BLAS only by rounding (at most
-    7e-15 relative on the MSEs at p = (150, 150), n = 150 on a 2-CPU VM).
+    With BLAS on one thread the results do not depend on the number of
+    threads; ``OPENBLAS_NUM_THREADS=1`` on a 2-CPU machine runs two
+    replicates at a time.
     """
     if reps < 1:
         raise ConfigError(f"reps must be at least 1, got {reps}")
-    jobs = [(sim_cfg, r, n_test, eta, max_iter, tol) for r in range(reps)]
-    if threads > 1:
-        results = map_single_threaded(_worker, jobs, workers=threads)
-    else:
-        results = [_worker(j) for j in jobs]
+    results = list(_in_order(
+        lambda rep: run_replicate(sim_cfg, rep, n_test, eta, max_iter, tol), range(reps)))
     unconverged = sum(r.unconverged for r in results)
     if unconverged:
         warnings.warn(

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .archive import load_model, load_truth, save_model, save_truth
+from .bench import run_benchmark
 from .core import FitConfig, Ranks, fit
 from .data import (
     MultiSourceDataset,
@@ -30,6 +31,7 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigError, ParseError, SJiveError
+from .linalg import parallel_workers
 from .metrics import component_inference, meta_loadings, recovery_error, test_mse
 from .predict import estimate_scores, predict
 from .selection import DEFAULT_ETA_GRID, make_cv_plan, select_model, warn_unconverged
@@ -232,8 +234,7 @@ def _cmd_predict(args, outdir):
     header = ["predicted", "contrib_joint"] + [f"contrib_block{i + 1}" for i in range(model.k)]
     write_csv(outdir / "predictions.csv", np.column_stack(columns), data.sample_ids, header,
               corner="sample_id")
-    params = {"model": args.model, "x": ";".join(args.x), "n_predicted": data.n,
-              "score_iterations": est.iterations, "score_converged": est.converged}
+    params = {"model": args.model, "x": ";".join(args.x), "n_predicted": data.n}
     return params, "n/a", f"wrote predictions for {data.n} samples to {outdir / 'predictions.csv'}"
 
 
@@ -265,9 +266,6 @@ def _cmd_select(args, outdir):
 
 
 def _cmd_benchmark(args, outdir):
-    # Imported here so fit and predict do not load the process-pool modules.
-    from .bench import run_benchmark
-
     sim_cfg, n_test = _read_sim_config(args.config, args.seed)
     eta = "cv" if args.eta == "cv" else _number("--eta", args.eta)
     result = run_benchmark(
@@ -275,7 +273,6 @@ def _cmd_benchmark(args, outdir):
         reps=args.reps,
         n_test=n_test,
         eta=eta,
-        threads=args.threads,
         max_iter=args.max_iter,
         tol=args.tol,
     )
@@ -300,7 +297,7 @@ def _cmd_benchmark(args, outdir):
         ],
     )
     params = {**sim_cfg.__dict__, "n_test": n_test, "reps": args.reps, "eta": args.eta,
-              "threads": args.threads,
+              "workers": parallel_workers(),
               "unconverged_fits": sum(r.unconverged for r in result.replicates)}
     summary = [f"benchmark over {args.reps} replicates -> {outdir / 'summary.csv'}"]
     summary += [f"  {m}: mean test MSE {means[m]:.4f}, wins {wins[m]:.0f}%" for m in result.methods]
@@ -422,7 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--out", required=True)
     p_bench.add_argument("--eta", default="0.5", help="fixed weight or 'cv'")
-    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.add_argument("--tol", type=float, default=1e-6)
     p_bench.add_argument("--max-iter", type=int, default=1000)
     p_bench.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -14,15 +14,18 @@ increment improves the best MSE by more than a small threshold.
 them as given), then the weight over a grid; a one-weight grid fixes the
 weight and the ranks are searched at it. Each call standardizes every fold
 once (``prepare_folds``) and reuses it for every candidate. The folds of
-one candidate are fitted side by side on ``linalg.parallel_workers()``
-threads, which is 1 (a serial loop) unless a BLAS thread variable leaves
-CPUs free; the results do not depend on the thread count. Each call counts
-its fold fits that stopped at ``max_iter`` without converging and reports
-the count in one RuntimeWarning.
+one candidate are fitted side by side by ``_in_order``, the package's one
+parallel map, which also runs the replicates of ``bench.run_benchmark``.
+It uses ``linalg.parallel_workers()`` threads, which is 1 (a serial loop)
+unless a BLAS thread variable leaves CPUs free, and it runs serially when
+called off the main thread; the results do not depend on the thread
+count. Each call counts its fold fits that stopped at ``max_iter`` without
+converging and reports the count in one RuntimeWarning.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -140,13 +143,18 @@ def _in_order(func, items):
     """Yield ``func(item)`` for each item in order, computed on
     ``parallel_workers()`` threads; one worker is a plain serial loop.
 
+    This is the package's one parallel map: it fits the folds of a
+    candidate and runs the replicates of ``bench.run_benchmark``. A call
+    from any thread but the main one runs serially, so a selection inside
+    a replicate on a pool thread starts no second pool.
+
     LAPACK releases the GIL, so fold fits overlap. The first error in item
     order is raised after the results before it, as a serial loop would
     raise it; items not yet started are then cancelled, and the pool is
     shut down before the error or the end of the results leaves.
     """
     workers = min(parallel_workers(), len(items))
-    if workers <= 1:
+    if workers <= 1 or threading.current_thread() is not threading.main_thread():
         yield from map(func, items)
         return
     from concurrent.futures import ThreadPoolExecutor

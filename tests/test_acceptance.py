@@ -5,17 +5,24 @@ reproductions of the published simulation studies plus exactness and
 equivalence checks; the whole module takes roughly 10 minutes.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sjive.bench import map_single_threaded, run_benchmark
+import sjive
+from sjive.bench import run_benchmark
 from sjive.core import FitConfig, Ranks, fit
+from sjive.linalg import BLAS_THREAD_VARS
 from sjive.metrics import component_inference
 from sjive.metrics import test_mse as mse_of
 from sjive.predict import estimate_scores, predict
-from sjive.selection import make_cv_plan, select_model
 from sjive.simulate import SimConfig, eigen_signal_report, generate, train_test_split
 
 from oracles import (
@@ -188,13 +195,30 @@ def test_criterion_5_monotone_descent_suite():
     )
 
 
+# One rank selection of criterion 6 in a fresh interpreter whose BLAS runs
+# on one thread (fixed when numpy loads), so that its folds run side by side
+# on the CV engine's threads.
+_RANK_SELECTION = """
+import json, sys
+from sjive.selection import make_cv_plan, select_model
+from sjive.simulate import SimConfig, generate
+
+x_err, seed = json.loads(sys.argv[1])
+cfg = SimConfig(k=2, p=(100, 100), n=100, rank_joint=1,
+                rank_indiv=(1, 1), x_err=x_err, y_err=0.10, seed=seed)
+data, y, _ = generate(cfg)
+_, ranks, _, _ = select_model(data, y, make_cv_plan(data.n, seed=seed), (0.5,))
+print(json.dumps([ranks.joint, *ranks.individual]))
+"""
+
+
 def _rank_selection_case(case):
-    x_err, seed = case
-    cfg = SimConfig(k=2, p=(100, 100), n=100, rank_joint=1,
-                    rank_indiv=(1, 1), x_err=x_err, y_err=0.10, seed=seed)
-    data, y, _ = generate(cfg)
-    _, ranks, _, _ = select_model(data, y, make_cv_plan(data.n, seed=seed), (0.5,))
-    return ranks
+    src = str(Path(sjive.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    out = subprocess.run([sys.executable, "-c", _RANK_SELECTION, json.dumps(case)], env=env,
+                         check=True, stdout=subprocess.PIPE, text=True, timeout=1800)
+    joint, *individual = json.loads(out.stdout.strip().splitlines()[-1])
+    return Ranks(joint, tuple(individual))
 
 
 @pytest.mark.slow
@@ -205,7 +229,12 @@ def test_criterion_6_rank_selection():
     # recovery of the assignment happens at roughly the published ~20-25%
     # rate, not in 7/10 runs. Kept as specified; see the decisions ledger.
     cases = [(x_err, seed) for x_err in (0.10, 0.50) for seed in range(10)]
-    chosen = dict(zip(cases, map_single_threaded(_rank_selection_case, cases)))
+    # A selection takes 0.4 to 72 s here, so two threads hand the cases to
+    # fresh interpreters as they free up. On two CPUs that took 222 s; all
+    # cases in order in one interpreter took 272 s, because these small fold
+    # fits hold the GIL for much of their time.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        chosen = dict(zip(cases, pool.map(_rank_selection_case, cases)))
     exact = sum((chosen[0.10, seed].joint, *chosen[0.10, seed].individual) == (1, 1, 1)
                 for seed in range(10))
     joint_ok = sum(chosen[0.50, seed].joint == 1 for seed in range(10))

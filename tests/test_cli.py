@@ -12,6 +12,7 @@ import pytest
 import sjive
 from sjive.cli import main
 from sjive.data import load_csv, write_csv
+from sjive.linalg import parallel_workers
 
 SIM_CFG = """[simulation]
 k = 2
@@ -97,6 +98,9 @@ def test_fit_predict_evaluate_pipeline(simdir, tmp_path):
     assert rows[0][:2] == ["sample_id", "predicted"]
     assert "contrib_joint" in rows[0]
     assert len(rows) == 25  # header + 24 samples
+    manifest = (preddir / "manifest.txt").read_text(encoding="utf-8")
+    assert "n_predicted = 24" in manifest
+    assert "score_iterations" not in manifest and "score_converged" not in manifest
 
     evaldir = tmp_path / "eval"
     rc = main([
@@ -172,6 +176,7 @@ def test_benchmark_command(simdir, tmp_path):
     assert len(reps) == 1 + 2 * 5
     signal = _read_rows(bdir / "signal.csv")
     assert signal[0] == ["rep", "signal_top_sv", "noise_top_sv", "eta_used"]
+    assert _manifest_value(bdir, "workers") == str(parallel_workers())
 
 
 def test_benchmark_command_counts_unconverged_fits(simdir, tmp_path):
@@ -366,8 +371,9 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # Only `sjive benchmark` starts worker processes; fit and predict must
-    # not pay for importing the pool modules.
+    # No command starts processes, and the thread pool module loads only when
+    # folds or replicates run on threads; fit and predict must not pay for
+    # importing either.
     assert _modules_loaded_by_cli_import(["multiprocessing", "concurrent"]) == "[]"
 
 
