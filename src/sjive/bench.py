@@ -13,7 +13,6 @@ thread starts no second pool.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ from .core import FitConfig, Ranks, fit
 from .errors import ConfigError
 from .metrics import test_mse, win_rate
 from .predict import estimate_scores, predict
-from .selection import _in_order, make_cv_plan, select_model
+from .selection import _in_order, make_cv_plan, select_model, warn_unconverged
 from .simulate import SimConfig, eigen_signal_report, generate, train_test_split
 
 # Weights tried by ``eta="cv"``: a coarser grid than the CLI's, since every
@@ -63,8 +62,8 @@ def run_replicate(
     rep: int,
     n_test: int | None = None,
     eta: float | str = 0.5,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
+    max_iter: int = FitConfig.max_iter,
+    tol: float = FitConfig.tol,
 ) -> ReplicateResult:
     """One replicate: train on the first n samples, test on n_test more.
 
@@ -121,8 +120,8 @@ def run_benchmark(
     reps: int,
     n_test: int | None = None,
     eta: float | str = 0.5,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
+    max_iter: int = FitConfig.max_iter,
+    tol: float = FitConfig.tol,
 ) -> BenchmarkResult:
     """Run replicates 0..reps-1 on the package's parallel map (see the
     module docstring) and return them in order.
@@ -135,13 +134,7 @@ def run_benchmark(
         raise ConfigError(f"reps must be at least 1, got {reps}")
     results = list(_in_order(
         lambda rep: run_replicate(sim_cfg, rep, n_test, eta, max_iter, tol), range(reps)))
-    unconverged = sum(r.unconverged for r in results)
-    if unconverged:
-        warnings.warn(
-            f"{unconverged} of {2 * reps} replicate fits stopped at max_iter or on a rising "
-            "sweep without converging; their test MSEs may be off",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    warn_unconverged(sum(r.unconverged for r in results), 2 * reps, "replicate fits",
+                     "test MSEs")
     method_names = list(results[0].mses)
     return BenchmarkResult(replicates=results, methods=method_names)

@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +41,12 @@ from .simulate import SimConfig, generate
 
 
 def _read_sim_config(path, seed=None):
-    """Parse a key = value config file with a [simulation] section; a
-    ``seed`` that is not None overrides the file's seed. A missing required
-    key or a value that does not parse is a ConfigError naming the key."""
-    parser = configparser.ConfigParser()
+    """Parse a key = value config file whose [simulation] section holds
+    SimConfig's fields, ``p`` and ``rank_indiv`` as comma-separated integers,
+    plus ``n_test`` (default ``n``); a field without a default is required.
+    A ``seed`` that is not None overrides the file's seed. An unknown or
+    missing key, or a value that does not parse, is a ConfigError naming it."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -52,34 +56,26 @@ def _read_sim_config(path, seed=None):
     if "simulation" not in parser:
         raise ConfigError(f"{path}: missing [simulation] section")
     sec = parser["simulation"]
-
-    def value(key, kind, fallback=None):
-        if key not in sec:
-            if fallback is None:
-                raise ConfigError(f"{path}: [simulation] has no {key!r} key")
-            return fallback
+    kinds = typing.get_type_hints(SimConfig) | {"n_test": int}
+    unknown = [key for key in sec if key not in kinds]
+    if unknown:
+        raise ConfigError(f"{path}: unknown [simulation] key {', '.join(map(repr, unknown))}; "
+                          f"the keys are {', '.join(kinds)}")
+    for f in dataclasses.fields(SimConfig):
+        if f.default is dataclasses.MISSING and f.name not in sec:
+            raise ConfigError(f"{path}: [simulation] has no {f.name!r} key")
+    values = {}
+    for key in sec:
         try:
-            return kind(sec[key])
+            text = sec[key]
+            values[key] = (tuple(int(v) for v in text.split(","))
+                           if typing.get_origin(kinds[key]) is tuple else kinds[key](text))
         except (configparser.Error, ValueError):
             raise ConfigError(f"{path}: {key} = {sec.get(key, raw=True)!r} is not valid") from None
-
-    def ints(text):
-        return tuple(int(v.strip()) for v in text.split(","))
-
-    cfg = SimConfig(
-        k=value("k", int),
-        p=value("p", ints),
-        n=value("n", int),
-        rank_joint=value("rank_joint", int),
-        rank_indiv=value("rank_indiv", ints),
-        w_joint=value("w_joint", float, 1.0),
-        w_indiv=value("w_indiv", float, 1.0),
-        x_err=value("x_err", float, 0.0),
-        y_err=value("y_err", float, 0.0),
-        r_prop=value("r_prop", float, 1.0),
-        seed=value("seed", int, 0) if seed is None else seed,
-    )
-    n_test = value("n_test", int, cfg.n)
+    if seed is not None:
+        values["seed"] = seed
+    n_test = values.pop("n_test", values["n"])
+    cfg = SimConfig(**values)
     if n_test < 1:
         raise ConfigError(f"{path}: n_test = {n_test} must be at least 1")
     return cfg, n_test
@@ -153,8 +149,9 @@ def _fold_trace_rows(trace):
 def _count_unconverged(reports) -> dict:
     """Warn about the selection's fold fits that stopped at max_iter or on a
     rising sweep, and count them for the manifest."""
-    warn_unconverged(reports)
-    return {"unconverged_fits": sum(not r.converged for r in reports)}
+    count = sum(not r.converged for r in reports)
+    warn_unconverged(count, len(reports))
+    return {"unconverged_fits": count}
 
 
 def _load_and_score(args):
@@ -386,8 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--ranks", default="auto",
                        help="'rJ,r1,..,rk' or 'auto' for forward-selection CV")
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--tol", type=float, default=1e-6)
-    p_fit.add_argument("--max-iter", type=int, default=1000)
+    p_fit.add_argument("--tol", type=float, default=FitConfig.tol)
+    p_fit.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
     p_fit.add_argument("--drop-constant", action="store_true",
                        help="drop zero-variance variables instead of erroring")
     add_common(p_fit)
@@ -419,8 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--out", required=True)
     p_bench.add_argument("--eta", default="0.5", help="fixed weight or 'cv'")
-    p_bench.add_argument("--tol", type=float, default=1e-6)
-    p_bench.add_argument("--max-iter", type=int, default=1000)
+    p_bench.add_argument("--tol", type=float, default=FitConfig.tol)
+    p_bench.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
     p_bench.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_bench.set_defaults(func=_cmd_benchmark)
 

@@ -62,6 +62,8 @@ class CvPlan:
 def make_cv_plan(n: int, seed: int, n_folds: int = 5) -> CvPlan:
     if n_folds < 2 or n_folds > n:
         raise ConfigError(f"need 2 <= folds <= n, got {n_folds} folds for n = {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     folds = tuple(np.sort(chunk) for chunk in np.array_split(perm, n_folds))
@@ -214,15 +216,14 @@ class _Candidates:
         return self._seen[key]
 
 
-def warn_unconverged(reports: list) -> None:
-    """One RuntimeWarning counting the fold fits that stopped at max_iter or
-    on a rising sweep."""
-    count = sum(not r.converged for r in reports)
+def warn_unconverged(count: int, total: int, fits: str = "cross-validation fold fits",
+                     scores: str = "held-out MSEs") -> None:
+    """One RuntimeWarning saying that ``count`` of ``total`` ``fits`` stopped
+    at max_iter or on a rising sweep, so their ``scores`` may be off."""
     if count:
         warnings.warn(
-            f"{count} of {len(reports)} cross-validation fold fits stopped at "
-            "max_iter or on a rising sweep without converging; their held-out MSEs "
-            "may be off",
+            f"{count} of {total} {fits} stopped at max_iter or on a rising sweep without "
+            f"converging; their {scores} may be off",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -295,8 +296,8 @@ def select_model(
     eta_grid=DEFAULT_ETA_GRID,
     ranks: Ranks | None = None,
     iterate: bool = False,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
+    max_iter: int = FitConfig.max_iter,
+    tol: float = FitConfig.tol,
     policy: str = "error",
     reports: list | None = None,
 ):
@@ -337,5 +338,5 @@ def select_model(
                 if ranks.total > 0:
                     eta, eta_trace = _search_eta(cv, ranks, grid)
     if reports is None:
-        warn_unconverged(cv.reports)
+        warn_unconverged(sum(not r.converged for r in cv.reports), len(cv.reports))
     return eta, ranks, rank_trace, eta_trace

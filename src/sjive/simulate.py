@@ -59,6 +59,8 @@ class SimConfig:
             raise ConfigError("noise fractions must lie in [0, 1)")
         if not 0.0 < self.r_prop <= 1.0:
             raise ConfigError("r_prop must lie in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         try:
             Ranks(self.rank_joint, self.rank_indiv).validate_for(self.p, self.n)
         except RankError as exc:

@@ -263,16 +263,92 @@ def test_fit_rejects_non_utf8_csv(simdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "benchmark"])
-@pytest.mark.parametrize("old, new, key", [("k = 2\n", "", "'k'"),
-                                           ("n_test = 12", "n_test = twelve", "n_test"),
-                                           ("n_test = 12", "n_test = 0", "n_test = 0")],
-                         ids=["missing-k", "malformed-n_test", "zero-n_test"])
+@pytest.mark.parametrize("old, new, key", [
+    ("k = 2\n", "", "'k'"),
+    ("n_test = 12", "n_test = twelve", "n_test"),
+    ("n_test = 12", "n_test = 0", "n_test = 0"),
+    # A misspelt key would otherwise leave its field at the default.
+    ("x_err = 0.2", "x_eer = 0.9", "unknown [simulation] key 'x_eer'; the keys are k, p, n, "
+     "rank_joint, rank_indiv, w_joint, w_indiv, x_err, y_err, r_prop, seed, n_test"),
+], ids=["missing-k", "malformed-n_test", "zero-n_test", "unknown-key"])
 def test_config_errors_name_file_and_key(tmp_path, capsys, command, old, new, key):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(SIM_CFG.replace(old, new), encoding="utf-8")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: ") and key in err
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
+# The "Config file" example of README.md, verbatim.
+README_CFG = """[simulation]
+k = 2
+p = 200, 200
+n = 200
+n_test = 200        ; benchmark only: extra held-out samples per replicate
+rank_joint = 1
+rank_indiv = 1, 1
+w_joint = 1.0
+w_indiv = 1.0
+x_err = 0.5         ; share of block variance that is noise, in [0, 1)
+y_err = 0.1         ; share of outcome variance that is noise
+r_prop = 1.0        ; fraction of each component's ranks predictive of y
+seed = 7
+"""
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert README_CFG in readme.read_text(encoding="utf-8")
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(README_CFG, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_csv(out / "X1.csv").values.shape == (200, 200)
+    assert [_manifest_value(out, key) for key in ("x_err", "y_err", "r_prop", "seed")] == [
+        "0.5", "0.1", "1.0", "7"]
+
+
+@pytest.mark.parametrize("command, extra, seed", [
+    ("simulate", ["--seed", "-3"], "-3"),
+    ("simulate", [], "-1"),
+    ("benchmark", ["--seed", "-4"], "-4"),
+    ("fit", ["--ranks", "auto", "--seed", "-2"], "-2"),
+    ("select", ["--seed", "-5"], "-5"),
+], ids=["simulate-flag", "simulate-config", "benchmark-flag", "fit-auto", "select"])
+def test_negative_seed_is_an_error(simdir, tmp_path, capsys, command, extra, seed):
+    _, data = simdir
+    if command in ("simulate", "benchmark"):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(SIM_CFG.replace("seed = 5", "seed = -1"), encoding="utf-8")
+        argv = [command, "--config", str(cfg)]
+    else:
+        argv = [command, "--x", str(data / "X1.csv"), "--x", str(data / "X2.csv"),
+                "--y", str(data / "y.csv")]
+    capsys.readouterr()
+    assert main([*argv, *extra, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: seed must be non-negative, got {seed}\n"
+
+
+def test_samples_as_rows_gives_the_same_fit_and_predictions(simdir, tmp_path):
+    _, data = simdir
+    rows = tmp_path / "rows"
+    rows.mkdir()
+    for name in ["X1.csv", "X2.csv", "y.csv"]:
+        mat = load_csv(data / name)
+        write_csv(rows / name, mat.values.T, mat.col_ids, mat.row_ids)
+    outputs = []
+    for src, flag in [(data, []), (rows, ["--samples-as-rows"])]:
+        x = ["--x", str(src / "X1.csv"), "--x", str(src / "X2.csv")]
+        fdir, pdir = tmp_path / f"fit{len(flag)}", tmp_path / f"pred{len(flag)}"
+        assert main(["fit", *x, "--y", str(src / "y.csv"), "--eta", "0.5", "--ranks", "1,1,1",
+                     "--out", str(fdir), *flag]) == 0
+        assert main(["predict", "--model", str(fdir / "model.zip"), *x, "--out", str(pdir),
+                     *flag]) == 0
+        outputs.append([(d / name).read_bytes()
+                        for d, name in [(fdir, "model.zip"), (pdir, "predictions.csv")]])
+    assert (rows / "X1.csv").read_bytes() != (data / "X1.csv").read_bytes()
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("reps", ["0", "-1"])
