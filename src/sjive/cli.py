@@ -75,7 +75,10 @@ def _read_sim_config(path, seed=None):
     if seed is not None:
         values["seed"] = seed
     n_test = values.pop("n_test", values["n"])
-    cfg = SimConfig(**values)
+    try:
+        cfg = SimConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if n_test < 1:
         raise ConfigError(f"{path}: n_test = {n_test} must be at least 1")
     return cfg, n_test
@@ -438,6 +441,8 @@ def main(argv=None) -> int:
     inputs or files exit with code 2."""
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
         t0 = time.perf_counter()
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -19,13 +19,14 @@ gauge without changing any fitted value.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import data as _data
 from .data import BlockScaler, MultiSourceDataset, Outcome, OutcomeScaler, decompress_loadings
 from .errors import ConfigError, DegeneracyError, RankError, ShapeError, SJiveError
-from .linalg import RANK_TOL, regress_on_rows, top_factors, top_svd, unit_frame
+from .linalg import RANK_TOL, regress_on_rows, top_factors, top_pair, top_svd, unit_frame
 
 
 @dataclass(frozen=True)
@@ -172,43 +173,42 @@ def _outcome_values(y):
     return vals, None
 
 
-def _truncated_left_scores(m: np.ndarray, r: int, factorize, floor: float):
-    """Top-r left singular vectors L, scores L^T m, and an orthonormal basis
-    (columns) of the row space of the scores; ``factorize`` is ``top_svd``
-    or ``top_factors``. A component whose singular value is at most
-    ``floor`` carries no signal: its score row is zero and the basis leaves
-    it out."""
-    u, s, vt = factorize(m, r)
-    keep = s > floor
-    return u, np.where(keep[:, None], s[:, None] * vt, 0.0), vt[keep].T
+def _pair_update(m: np.ndarray, r: int, floor: float):
+    """The default path's update: the rank-r part of ``m`` from
+    ``linalg.top_pair``, less the components with ||m v_j|| <= ``floor``,
+    and the orthonormal basis (columns) of its row space."""
+    mv, v = top_pair(m, r)
+    keep = np.sqrt(np.sum(mv * mv, axis=0)) > floor
+    if not keep.all():
+        mv, v = mv[:, keep], v[:, keep]
+    return mv @ v.T, v
 
 
-def _sweep(stacked, offsets, ranks: Ranks, parts, factorize):
+def _sweep(stacked, offsets, ranks: Ranks, parts, update):
     """One ALS sweep from the individual parts ``parts``; returns the new
-    factors (L, S_J, F, S), the new parts and their objective.
-    ``factorize(matrix, r)`` returns the signed top-r SVD factors.
+    parts and their objective. ``update(matrix, r)`` returns the matrix's
+    rank-r part, without the components that carry no signal (at most
+    RANK_TOL ||stacked||_F), and an orthonormal basis (columns) of the
+    part's row space.
 
     ``parts[i]`` is block i's fitted individual part stacked over its
     outcome row, F_i @ S_i; unlike F_i and S_i it has no gauge or sign
     freedom, and all zeros is the start state. The arguments are not
     modified.
 
-    Joint update: best rank-r_J factors of the data minus all individual
-    parts, taken in one SVD so loadings and scores stay consistent.
-    Individual updates: each block residual is projected onto the orthogonal
-    complement of the joint score rows, which keeps row(S_i) perpendicular
-    to row(S_J). Every update zeroes the components whose singular value is
-    at most RANK_TOL ||stacked||_F.
+    Joint update: the best rank-r_J part of the data minus all individual
+    parts. Individual updates: each block residual is projected onto the
+    orthogonal complement of the joint part's row space, which keeps
+    row(S_i) perpendicular to row(S_J).
     """
-    floor = RANK_TOL * float(np.linalg.norm(stacked))
     R = stacked.copy()
     for (a, b), part in zip(offsets, parts):
         R[a:b] -= part[:-1]
     y_ind = sum(part[-1] for part in parts)
     R[-1] -= y_ind
-    L, S_J, V = _truncated_left_scores(R, ranks.joint, factorize, floor)
-    resid = stacked - L @ S_J
-    F, S, new_parts = [], [], []
+    joint, V = update(R, ranks.joint)
+    resid = stacked - joint
+    new_parts = []
     for i, ((a, b), part) in enumerate(zip(offsets, parts)):
         y_others = y_ind - part[-1]
         Ri = np.vstack([resid[a:b], (resid[-1] - y_others)[None, :]])
@@ -220,39 +220,72 @@ def _sweep(stacked, offsets, ranks: Ranks, parts, factorize):
             # pass removes it ("twice is enough").
             if np.linalg.norm(Ri) < 1e-3 * np.linalg.norm(along):
                 Ri -= (Ri @ V) @ V.T
-        Fi, Si, _ = _truncated_left_scores(Ri, ranks.individual[i], factorize, floor)
-        F.append(Fi)
-        S.append(Si)
-        new_parts.append(Fi @ Si)
+        new_parts.append(update(Ri, ranks.individual[i])[0])
         y_ind = y_others + new_parts[-1][-1]
     for (a, b), part in zip(offsets, new_parts):
         resid[a:b] -= part[:-1]
     resid[-1] -= y_ind
-    return (L, S_J, F, S), new_parts, float(np.sum(resid * resid))
+    return new_parts, float(np.sum(resid * resid))
 
 
-def _als(stacked, offsets, ranks: Ranks, max_iter: int, tol: float, factorize):
-    parts = [np.zeros((b - a + 1, stacked.shape[1])) for a, b in offsets]
-    factors, parts, obj = _sweep(stacked, offsets, ranks, parts, factorize)
+def _factored_sweep(stacked, offsets, ranks: Ranks, parts, factorize, floor: float):
+    """``_sweep`` with signed factors: returns (L, S_J, F, S), the new parts
+    and their objective. ``factorize(matrix, r)`` is ``top_svd`` or
+    ``top_factors``; each update's part is L @ S, whose score rows are zero
+    where the singular value is at most ``floor``, and its row basis is the
+    kept right vectors."""
+    factors = []
+
+    def update(m, r):
+        u, s, vt = factorize(m, r)
+        keep = s > floor
+        scores = np.where(keep[:, None], s[:, None] * vt, 0.0)
+        factors.append((u, scores))
+        return u @ scores, vt[keep].T
+
+    new_parts, obj = _sweep(stacked, offsets, ranks, parts, update)
+    (L, S_J), *indiv = factors
+    return (L, S_J, [f for f, _ in indiv], [s for _, s in indiv]), new_parts, obj
+
+
+def _als(stacked, offsets, ranks: Ranks, max_iter: int, tol: float, compress: bool):
+    """Sweeps until the objective stalls; returns the factors of the last
+    accepted sweep, the objective trace, the iteration count and whether it
+    converged. The default path (``compress``) sweeps on the parts alone,
+    one ``top_pair`` per update; one ``top_factors`` sweep from the last
+    accepted sweep's start state then gives its factors (its parts to
+    rounding). On the reference path that last sweep repeats bit for bit.
+    """
+    floor = RANK_TOL * float(np.linalg.norm(stacked))
+    factorize = top_factors if compress else top_svd
+
+    def sweep(parts):
+        if compress:
+            return _sweep(stacked, offsets, ranks, parts, partial(_pair_update, floor=floor))
+        return _factored_sweep(stacked, offsets, ranks, parts, top_svd, floor)[1:]
+
+    start = [np.zeros((b - a + 1, stacked.shape[1])) for a, b in offsets]
+    parts, obj = sweep(start)
     trace = [obj]
     # Absolute stop for exactly representable decompositions, far below any
     # tolerance a caller would use on real data.
-    floor = 1e-18 * max(float(np.sum(stacked * stacked)), 1e-300)
+    stop = 1e-18 * max(float(np.sum(stacked * stacked)), 1e-300)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_factors, new_parts, obj = _sweep(stacked, offsets, ranks, parts, factorize)
+        new_parts, obj = sweep(parts)
         prev = trace[-1]
         step = tol * max(prev, 1e-300)
-        if obj - prev > step and obj > floor:
+        if obj - prev > step and obj > stop:
             # A rise beyond tol (and above the floor) is not convergence:
-            # keep the previous sweep's factors, report no convergence.
+            # keep the previous sweep, report no convergence.
             break
-        factors, parts = new_factors, new_parts
+        start, parts = parts, new_parts
         trace.append(obj)
-        if prev - obj <= step or obj <= floor:
+        if prev - obj <= step or obj <= stop:
             converged = True
             break
+    factors, _, _ = _factored_sweep(stacked, offsets, ranks, start, factorize, floor)
     return factors, trace, iterations, converged
 
 
@@ -287,8 +320,8 @@ def _build_model(factors, cfg: FitConfig, offsets, cbs, yvals, data, yscaler):
         ranks=cfg.ranks,
         block_scalers=data.standardization,
         outcome_scaler=yscaler,
-        variable_ids=[list(v) for v in data.variable_ids],
         # Shared, not copied: a model kept beside its data adds no list.
+        variable_ids=data.variable_ids,
         sample_ids=data.sample_ids,
     )
 
@@ -336,10 +369,11 @@ def fit(data, y, cfg: FitConfig, compress: bool = True):
     than samples is replaced during the iterations by its SVD score
     representation, and the result is mapped back to variable space
     (equivalent up to floating point); blocks with no more variables than
-    samples are never compressed. Each update then takes its top factors
-    from ``linalg.top_factors``. ``compress=False`` is the reference path:
-    raw blocks and a full LAPACK SVD (``linalg.top_svd``) per update, which
-    the tests compare the default path against.
+    samples are never compressed. Each update then takes the rank-r part
+    from one ``linalg.top_pair``, and the model's factors come from one
+    ``linalg.top_factors`` pass at the end. ``compress=False`` is the
+    reference path: raw blocks and a full LAPACK SVD (``linalg.top_svd``)
+    per update, which the tests compare the default path against.
     Returns (model, report); ``report.converged`` is False when the
     iteration budget ran out, in which case the best model so far is
     returned, or when a sweep raised the objective by more than ``tol``
@@ -370,9 +404,7 @@ def fit(data, y, cfg: FitConfig, compress: bool = True):
     if yvals is not None and cfg.eta < 1.0:
         stacked[-1] = yvals * np.sqrt(1.0 - cfg.eta)
     factors, trace, iterations, converged = _als(
-        stacked, offsets, cfg.ranks, cfg.max_iter, cfg.tol,
-        top_factors if compress else top_svd,
-    )
+        stacked, offsets, cfg.ranks, cfg.max_iter, cfg.tol, compress)
     model = _build_model(factors, cfg, offsets, cbs, yvals, data, yscaler)
     report = FitReport(
         objective_trace=trace,

@@ -1,13 +1,13 @@
 """Dense-matrix primitives: the signed truncated SVD (exact, and a fast
-top-r kernel for the fit loop), least squares on score rows, the unit-norm
-gauge fix, QR and row-space projections, plus the number of threads that
-may run them side by side.
+top-r kernel), the rank-r part the fit loop iterates on, least squares on
+score rows, the unit-norm gauge fix, QR and row-space projections, plus the
+number of threads that may run them side by side.
 
 Every matrix function here is pure and deterministic, and each is the
 package's only implementation of its job. Singular vectors follow a fixed
 sign convention (largest-magnitude entry of each left vector is made
 positive, the paired right vector flips with it) so repeated calls return
-bit-identical output.
+bit-identical output; the fit loop's rank-r part needs none.
 """
 
 import math
@@ -81,6 +81,23 @@ def _signed(u, s, vt):
     return u * sign, s, vt * sign[:, None]
 
 
+def _top_gram_vectors(arr, r: int):
+    """The tall orientation g of ``arr`` divided by its largest magnitude,
+    that magnitude, and the top-r eigenvectors of g^T g (one ``eigh``); None
+    where ``top_svd`` must be used instead (see ``top_factors``)."""
+    if not 0 < r < min(arr.shape):
+        return None
+    big = float(np.abs(arr).max())
+    if big == 0.0:
+        return None
+    g = (arr if arr.shape[0] >= arr.shape[1] else arr.T) / big
+    # Looked up at call time, like the SVD; the eigenvalues ascend.
+    evals, vecs = np.linalg.eigh(g.T @ g)
+    if evals[-r] <= 1e-8 * evals[-1]:
+        return None
+    return g, big, vecs[:, -r:]
+
+
 def top_factors(a, r: int):
     """Top-r SVD factors (u, s, vt) of ``a`` with ``top_svd``'s signs, from
     the eigenvectors of the smaller Gram matrix and one Rayleigh-Ritz step
@@ -101,22 +118,40 @@ def top_factors(a, r: int):
     by more than 1e-12 s_0 on graded spectra.
     """
     arr = as_matrix(a)
-    if not 0 < r < min(arr.shape):
+    found = _top_gram_vectors(arr, r)
+    if found is None:
         return top_svd(arr, r)
-    big = float(np.abs(arr).max())
-    if big == 0.0:
-        return top_svd(arr, r)
-    tall = arr.shape[0] >= arr.shape[1]
-    g = (arr if tall else arr.T) / big
-    # Looked up at call time, like the SVD; the eigenvalues ascend.
-    evals, vecs = np.linalg.eigh(g.T @ g)
-    if evals[-r] <= 1e-8 * evals[-1]:
-        return top_svd(arr, r)
-    q, _ = np.linalg.qr(g @ vecs[:, -r:])
+    g, big, vecs = found
+    q, _ = np.linalg.qr(g @ vecs)
     w, s, zt = np.linalg.svd(q.T @ g, full_matrices=False)
-    if tall:
+    if arr.shape[0] >= arr.shape[1]:
         return _signed(q @ w, s * big, zt)
     return _signed(zt.T, s * big, (q @ w).T)
+
+
+def top_pair(a: np.ndarray, r: int):
+    """The rank-r part of ``a`` as the pair (a V, V): the part is
+    (a V) V^T, and the r orthonormal columns of V span its row space.
+
+    This is the fit loop's update: the same single ``eigh``, scaling and
+    ``top_svd`` fallback as ``top_factors``, without its Rayleigh-Ritz
+    step, sign rule or input check, so ``a`` must be a finite 2-d float
+    array. For a tall ``a``, V is the Gram's eigenvectors. For a wide one
+    they are left vectors U, and V is a^T U with unit columns; those are
+    orthogonal to about eps s_0^2 / (s_i s_j). The columns come in no fixed
+    order and with no fixed signs, neither of which changes the part.
+    """
+    if r == 0:
+        return np.zeros((a.shape[0], 0)), np.zeros((a.shape[1], 0))
+    found = _top_gram_vectors(a, r)
+    if found is None:
+        u, s, vt = top_svd(a, r)
+        return u * s, vt.T
+    g, _, vecs = found
+    if a.shape[0] < a.shape[1]:
+        vecs = g @ vecs
+        vecs /= np.sqrt(np.sum(vecs * vecs, axis=0))
+    return a @ vecs, vecs
 
 
 def rank_mask(s) -> np.ndarray:

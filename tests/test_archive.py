@@ -42,6 +42,21 @@ def test_model_roundtrip_bitwise(fitted, tmp_path):
     assert np.array_equal(predict(model, est_a), predict(loaded, est_b))
 
 
+def test_model_shares_the_dataset_ids(fitted, tmp_path):
+    # A model refers to its dataset's id lists instead of copying them; the
+    # archive stores and restores them as before.
+    data, _, _, model, report = fitted
+    assert model.variable_ids is data.variable_ids
+    assert model.sample_ids is data.sample_ids
+    path, again = tmp_path / "model.zip", tmp_path / "again.zip"
+    save_model(model, path, report)
+    loaded, rep = load_model(path)
+    assert loaded.variable_ids == data.variable_ids
+    assert loaded.sample_ids == data.sample_ids
+    save_model(loaded, again, rep)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_model_roundtrip_with_standardization(tmp_path):
     rng = np.random.default_rng(61)
     from sjive.data import MultiSourceDataset, Outcome

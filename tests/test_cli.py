@@ -270,7 +270,9 @@ def test_fit_rejects_non_utf8_csv(simdir, tmp_path, capsys):
     # A misspelt key would otherwise leave its field at the default.
     ("x_err = 0.2", "x_eer = 0.9", "unknown [simulation] key 'x_eer'; the keys are k, p, n, "
      "rank_joint, rank_indiv, w_joint, w_indiv, x_err, y_err, r_prop, seed, n_test"),
-], ids=["missing-k", "malformed-n_test", "zero-n_test", "unknown-key"])
+    # A value that parses but that SimConfig rejects.
+    ("x_err = 0.2", "x_err = 1.5", "noise fractions must lie in [0, 1)"),
+], ids=["missing-k", "malformed-n_test", "zero-n_test", "unknown-key", "invalid-value"])
 def test_config_errors_name_file_and_key(tmp_path, capsys, command, old, new, key):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(SIM_CFG.replace(old, new), encoding="utf-8")
@@ -313,21 +315,31 @@ def test_readme_config_example_runs(tmp_path):
     ("simulate", ["--seed", "-3"], "-3"),
     ("simulate", [], "-1"),
     ("benchmark", ["--seed", "-4"], "-4"),
+    ("benchmark", [], "-1"),
     ("fit", ["--ranks", "auto", "--seed", "-2"], "-2"),
+    # With fixed --eta and --ranks the seed reaches no fold plan.
+    ("fit", ["--eta", "0.5", "--ranks", "1,1,1", "--seed", "-2"], "-2"),
     ("select", ["--seed", "-5"], "-5"),
-], ids=["simulate-flag", "simulate-config", "benchmark-flag", "fit-auto", "select"])
+], ids=["simulate-flag", "simulate-config", "benchmark-flag", "benchmark-config", "fit-auto",
+        "fit-fixed", "select"])
 def test_negative_seed_is_an_error(simdir, tmp_path, capsys, command, extra, seed):
+    # Every command rejects a negative seed alike, with one error line and
+    # nothing written; a seed from the config file names the file.
     _, data = simdir
+    where = ""
     if command in ("simulate", "benchmark"):
         cfg = tmp_path / "neg.cfg"
         cfg.write_text(SIM_CFG.replace("seed = 5", "seed = -1"), encoding="utf-8")
         argv = [command, "--config", str(cfg)]
+        where = "" if extra else f"{cfg}: "
     else:
         argv = [command, "--x", str(data / "X1.csv"), "--x", str(data / "X2.csv"),
                 "--y", str(data / "y.csv")]
     capsys.readouterr()
-    assert main([*argv, *extra, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"error: seed must be non-negative, got {seed}\n"
+    out = tmp_path / "o"
+    assert main([*argv, *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {where}seed must be non-negative, got {seed}\n"
+    assert not list(out.glob("*"))
 
 
 def test_samples_as_rows_gives_the_same_fit_and_predictions(simdir, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -121,26 +122,47 @@ def test_fit_initial_sweep_captures_most_signal():
 def test_sweep_is_a_pure_map_of_the_individual_parts():
     # The ALS state is the stacked individual parts [W_i; theta2_i] S_i: a
     # sweep leaves its arguments unchanged, its result depends on nothing
-    # else, and it reports the residual energy of the factors it returns.
+    # else, and it reports the residual energy of the joint part and the
+    # parts it returns. The factored sweep's parts are its factors' products
+    # F_i @ S_i, and the default path's pair sweep gives the same parts as
+    # the top_factors sweep to rounding.
     rng = np.random.default_rng(4)
     offsets = [(0, 5), (5, 9)]
     stacked = rng.normal(size=(10, 7))
     parts = [rng.normal(size=(6, 7)), rng.normal(size=(5, 7))]
     before = [stacked.copy(), *(p.copy() for p in parts)]
     ranks = Ranks(1, (1, 2))
+    floor = core.RANK_TOL * float(np.linalg.norm(stacked))
+    pair = partial(core._pair_update, floor=floor)
+    R = stacked.copy()  # the joint update's matrix
+    for (a, b), part in zip(offsets, parts):
+        R[a:b] -= part[:-1]
+    R[-1] -= sum(part[-1] for part in parts)
+    runs = [(lambda: core._sweep(stacked, offsets, ranks, parts, pair), pair(R, ranks.joint)[0])]
     for factorize in (top_factors, top_svd):
-        (L, S_J, F, S), new_parts, obj = core._sweep(stacked, offsets, ranks, parts, factorize)
-        assert all(np.array_equal(a, b) for a, b in zip(before, [stacked, *parts]))
-        _, again, obj_again = core._sweep(stacked, offsets, ranks, parts, factorize)
-        assert obj_again == obj
-        assert all(np.array_equal(a, b) for a, b in zip(again, new_parts))
+        (L, S_J, F, S), new_parts, _ = core._factored_sweep(
+            stacked, offsets, ranks, parts, factorize, floor)
         for f, s, part in zip(F, S, new_parts):
             assert np.array_equal(f @ s, part)
-        resid = stacked - L @ S_J
+        runs.append((lambda f=factorize: core._factored_sweep(
+            stacked, offsets, ranks, parts, f, floor)[1:], L @ S_J))
+    results = []
+    for run, joint in runs:
+        new_parts, obj = run()
+        assert all(np.array_equal(a, b) for a, b in zip(before, [stacked, *parts]))
+        again, obj_again = run()
+        assert obj_again == obj
+        assert all(np.array_equal(a, b) for a, b in zip(again, new_parts))
+        resid = stacked - joint
         for (a, b), part in zip(offsets, new_parts):
             resid[a:b] -= part[:-1]
         resid[-1] -= sum(part[-1] for part in new_parts)
         assert obj == pytest.approx(float(np.sum(resid * resid)), rel=1e-14)
+        results.append((new_parts, obj))
+    (pair_parts, pair_obj), (canonical_parts, canonical_obj), _ = results
+    assert pair_obj == pytest.approx(canonical_obj, rel=1e-12)
+    for a, b in zip(pair_parts, canonical_parts):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_fit_eta_one_ignores_outcome():
@@ -263,30 +285,40 @@ def test_fit_max_iter_flag():
     (4.000001, [5.0, 4.0, 4.000001], True),  # a rise within tol * 4 counts as a stall
 ])
 def test_rising_sweep_is_not_convergence(monkeypatch, third, trace, converged):
+    # The model is built from the factored pass, which starts where the last
+    # accepted sweep started: the sweep before a risen one.
     rng = np.random.default_rng(13)
     blocks = [rng.normal(size=(6, 10)), rng.normal(size=(5, 10))]
     y = rng.normal(size=10)
     objectives = iter([5.0, 4.0, third])
-    sweeps, built = [], []
-    real_sweep, real_build = core._sweep, core._build_model
+    starts, passes, built = [], [], []
+    real_sweep, real_factored, real_build = core._sweep, core._factored_sweep, core._build_model
 
-    def sweep(*args):
-        factors, parts, _ = real_sweep(*args)
-        sweeps.append(factors)
-        return factors, parts, next(objectives)
+    def sweep(stacked, offsets, ranks, parts, update):
+        starts.append(parts)
+        new_parts, obj = real_sweep(stacked, offsets, ranks, parts, update)
+        return new_parts, next(objectives, obj)
+
+    def factored(*args):
+        result = real_factored(*args)
+        passes.append((args[3], result[0]))
+        return result
 
     def build(factors, *args):
         built.append(factors)
         return real_build(factors, *args)
 
     monkeypatch.setattr(core, "_sweep", sweep)
+    monkeypatch.setattr(core, "_factored_sweep", factored)
     monkeypatch.setattr(core, "_build_model", build)
     _, report = fit(blocks, y, FitConfig(eta=0.5, ranks=Ranks(1, (1, 1))))
     assert report.objective_trace == trace
     assert report.final_objective == trace[-1]
     assert report.converged is converged
-    assert len(sweeps) == 3 and len(built) == 1
-    assert built[0] is sweeps[len(trace) - 1]
+    # three sweeps in the loop, then the factored pass's own
+    assert len(starts) == 4 and len(passes) == 1 and len(built) == 1
+    assert passes[0][0] is starts[len(trace) - 1] and starts[3] is passes[0][0]
+    assert built[0] is passes[0][1]
 
 
 def test_fit_rejects_constant_outcome():

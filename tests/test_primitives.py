@@ -66,18 +66,29 @@ def test_least_squares_fallback_warns_once_in_both_callers():
 
 
 def test_svd_is_looked_up_at_call_time(monkeypatch):
-    # A replacement installed on numpy.linalg sees every SVD of a fit.
-    calls = []
-    original = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    # Replacements installed on numpy.linalg see every SVD, eigh and QR of a
+    # fit. The default path's loop makes one eigh per nonzero-rank update per
+    # sweep and no QR or SVD: those belong to the one factored pass at the
+    # end, so their count does not grow with the iterations.
     rng = np.random.default_rng(3)
-    _, report = fit([rng.normal(size=(6, 9)), rng.normal(size=(5, 9))], rng.normal(size=9),
-                    FitConfig(eta=0.5, ranks=Ranks(1, (1, 1)), max_iter=3))
-    # one joint and one individual SVD per block, at the start and per
-    # iteration: the default path's kernel factors through one small SVD
-    assert len(calls) == 3 * (report.iterations + 1)
+    blocks = [rng.normal(size=(6, 9)), rng.normal(size=(5, 9))]
+    y = rng.normal(size=9)
+    for ranks in (Ranks(1, (1, 1)), Ranks(2, (0, 1))):
+        updates = (ranks.joint > 0) + sum(r > 0 for r in ranks.individual)
+        counts = []
+        for max_iter in (1, 3):
+            calls = {"svd": 0, "eigh": 0, "qr": 0}
+            for name in calls:
+                def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(np.linalg, name, counting)
+            _, report = fit(blocks, y, FitConfig(eta=0.5, ranks=ranks, max_iter=max_iter,
+                                                 tol=1e-16))
+            monkeypatch.undo()
+            assert report.iterations == max_iter
+            # iterations + 1 sweeps in the loop, and the factored pass
+            assert calls["eigh"] == updates * (report.iterations + 2)
+            counts.append((calls["svd"], calls["qr"]))
+        assert counts[0] == counts[1] == (updates, updates)
