@@ -10,7 +10,10 @@ prediction of y; eta = 1 reduces to the unsupervised decomposition.
 Fitting distributes the weights into the data (X scaled by sqrt(eta), y by
 sqrt(1 - eta)) so each update is a plain least-squares/SVD step on a stacked
 matrix; the weights are divided back out of the returned loadings and
-coefficients. After convergence the stacked joint block [U; theta1] and each
+coefficients. The loop iterates on the gauge-free parts (the joint part
+[U; theta1] S_J and each [W_i; theta2_i] S_i), and the model's signed
+factors come from one truncated SVD of each part of the last accepted
+sweep. After convergence the stacked joint block [U; theta1] and each
 stacked individual block [W_i; theta2_i] are rescaled to unit Frobenius norm
 with the scores absorbing the scale, which pins down the otherwise free
 gauge without changing any fitted value.
@@ -26,7 +29,7 @@ import numpy as np
 from . import data as _data
 from .data import BlockScaler, MultiSourceDataset, Outcome, OutcomeScaler, decompress_loadings
 from .errors import ConfigError, DegeneracyError, RankError, ShapeError, SJiveError
-from .linalg import RANK_TOL, regress_on_rows, top_factors, top_pair, top_svd, unit_frame
+from .linalg import RANK_TOL, regress_on_rows, top_pair, top_svd, unit_frame
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,8 @@ class FitConfig:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
-        if self.tol <= 0.0:
-            raise ConfigError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:  # also rejects nan
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
 
@@ -184,17 +187,33 @@ def _pair_update(m: np.ndarray, r: int, floor: float):
     return mv @ v.T, v
 
 
+def _factor(m: np.ndarray, r: int, floor: float):
+    """``top_svd``'s rank-r factors of ``m`` as (u, scores, V): the score
+    rows s_j v_j^T, zeroed where s_j <= ``floor``, and the kept right
+    vectors V (columns)."""
+    u, s, vt = top_svd(m, r)
+    keep = s > floor
+    return u, np.where(keep[:, None], s[:, None] * vt, 0.0), vt[keep].T
+
+
+def _svd_update(m: np.ndarray, r: int, floor: float):
+    """The reference path's update: ``_factor``'s part u @ scores of ``m``
+    and its row basis."""
+    u, scores, v = _factor(m, r, floor)
+    return u @ scores, v
+
+
 def _sweep(stacked, offsets, ranks: Ranks, parts, update):
     """One ALS sweep from the individual parts ``parts``; returns the new
-    parts and their objective. ``update(matrix, r)`` returns the matrix's
-    rank-r part, without the components that carry no signal (at most
-    RANK_TOL ||stacked||_F), and an orthonormal basis (columns) of the
-    part's row space.
+    joint part, the new individual parts and their objective.
+    ``update(matrix, r)`` returns the matrix's rank-r part, without the
+    components that carry no signal (at most RANK_TOL ||stacked||_F), and
+    an orthonormal basis (columns) of the part's row space.
 
     ``parts[i]`` is block i's fitted individual part stacked over its
     outcome row, F_i @ S_i; unlike F_i and S_i it has no gauge or sign
-    freedom, and all zeros is the start state. The arguments are not
-    modified.
+    freedom, and all zeros is the start state. The joint part is L @ S_J
+    over all stacked rows. The arguments are not modified.
 
     Joint update: the best rank-r_J part of the data minus all individual
     parts. Individual updates: each block residual is projected onto the
@@ -225,47 +244,21 @@ def _sweep(stacked, offsets, ranks: Ranks, parts, update):
     for (a, b), part in zip(offsets, new_parts):
         resid[a:b] -= part[:-1]
     resid[-1] -= y_ind
-    return new_parts, float(np.sum(resid * resid))
-
-
-def _factored_sweep(stacked, offsets, ranks: Ranks, parts, factorize, floor: float):
-    """``_sweep`` with signed factors: returns (L, S_J, F, S), the new parts
-    and their objective. ``factorize(matrix, r)`` is ``top_svd`` or
-    ``top_factors``; each update's part is L @ S, whose score rows are zero
-    where the singular value is at most ``floor``, and its row basis is the
-    kept right vectors."""
-    factors = []
-
-    def update(m, r):
-        u, s, vt = factorize(m, r)
-        keep = s > floor
-        scores = np.where(keep[:, None], s[:, None] * vt, 0.0)
-        factors.append((u, scores))
-        return u @ scores, vt[keep].T
-
-    new_parts, obj = _sweep(stacked, offsets, ranks, parts, update)
-    (L, S_J), *indiv = factors
-    return (L, S_J, [f for f, _ in indiv], [s for _, s in indiv]), new_parts, obj
+    return joint, new_parts, float(np.sum(resid * resid))
 
 
 def _als(stacked, offsets, ranks: Ranks, max_iter: int, tol: float, compress: bool):
-    """Sweeps until the objective stalls; returns the factors of the last
-    accepted sweep, the objective trace, the iteration count and whether it
-    converged. The default path (``compress``) sweeps on the parts alone,
-    one ``top_pair`` per update; one ``top_factors`` sweep from the last
-    accepted sweep's start state then gives its factors (its parts to
-    rounding). On the reference path that last sweep repeats bit for bit.
+    """Sweeps until the objective stalls; returns the signed factors
+    (L, S_J, F, S) of the last accepted sweep's parts, the objective trace,
+    the iteration count and whether it converged. The default path
+    (``compress``) updates by ``top_pair``, the reference path by a full
+    ``top_svd``; on both, one ``top_svd`` of each final part (``_factor``)
+    gives the factors.
     """
     floor = RANK_TOL * float(np.linalg.norm(stacked))
-    factorize = top_factors if compress else top_svd
-
-    def sweep(parts):
-        if compress:
-            return _sweep(stacked, offsets, ranks, parts, partial(_pair_update, floor=floor))
-        return _factored_sweep(stacked, offsets, ranks, parts, top_svd, floor)[1:]
-
+    update = partial(_pair_update if compress else _svd_update, floor=floor)
     start = [np.zeros((b - a + 1, stacked.shape[1])) for a, b in offsets]
-    parts, obj = sweep(start)
+    joint, parts, obj = _sweep(stacked, offsets, ranks, start, update)
     trace = [obj]
     # Absolute stop for exactly representable decompositions, far below any
     # tolerance a caller would use on real data.
@@ -273,20 +266,21 @@ def _als(stacked, offsets, ranks: Ranks, max_iter: int, tol: float, compress: bo
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_parts, obj = sweep(parts)
+        new_joint, new_parts, obj = _sweep(stacked, offsets, ranks, parts, update)
         prev = trace[-1]
         step = tol * max(prev, 1e-300)
         if obj - prev > step and obj > stop:
             # A rise beyond tol (and above the floor) is not convergence:
             # keep the previous sweep, report no convergence.
             break
-        start, parts = parts, new_parts
+        joint, parts = new_joint, new_parts
         trace.append(obj)
         if prev - obj <= step or obj <= stop:
             converged = True
             break
-    factors, _, _ = _factored_sweep(stacked, offsets, ranks, start, factorize, floor)
-    return factors, trace, iterations, converged
+    L, S_J, _ = _factor(joint, ranks.joint, floor)
+    indiv = [_factor(part, r, floor)[:2] for part, r in zip(parts, ranks.individual)]
+    return (L, S_J, [f for f, _ in indiv], [s for _, s in indiv]), trace, iterations, converged
 
 
 def _build_model(factors, cfg: FitConfig, offsets, cbs, yvals, data, yscaler):
@@ -370,10 +364,11 @@ def fit(data, y, cfg: FitConfig, compress: bool = True):
     representation, and the result is mapped back to variable space
     (equivalent up to floating point); blocks with no more variables than
     samples are never compressed. Each update then takes the rank-r part
-    from one ``linalg.top_pair``, and the model's factors come from one
-    ``linalg.top_factors`` pass at the end. ``compress=False`` is the
-    reference path: raw blocks and a full LAPACK SVD (``linalg.top_svd``)
-    per update, which the tests compare the default path against.
+    from one ``linalg.top_pair``. ``compress=False`` is the reference path:
+    raw blocks and a full LAPACK SVD (``linalg.top_svd``) per update, which
+    the tests compare the default path against. On both paths the loop
+    iterates on the fitted parts, and the model's signed factors come from
+    one ``linalg.top_svd`` of each part of the last accepted sweep.
     Returns (model, report); ``report.converged`` is False when the
     iteration budget ran out, in which case the best model so far is
     returned, or when a sweep raised the objective by more than ``tol``

@@ -1,13 +1,15 @@
-"""Dense-matrix primitives: the signed truncated SVD (exact, and a fast
-top-r kernel), the rank-r part the fit loop iterates on, least squares on
-score rows, the unit-norm gauge fix, QR and row-space projections, plus the
-number of threads that may run them side by side.
+"""Dense-matrix primitives: the signed truncated SVD, the rank-r part the
+fit loop iterates on, least squares on score rows, the unit-norm gauge fix,
+QR and row-space projections, plus the number of threads that may run them
+side by side.
 
 Every matrix function here is pure and deterministic, and each is the
-package's only implementation of its job. Singular vectors follow a fixed
-sign convention (largest-magnitude entry of each left vector is made
-positive, the paired right vector flips with it) so repeated calls return
-bit-identical output; the fit loop's rank-r part needs none.
+package's only implementation of its job. ``top_svd`` is the one source of
+singular vectors, with one sign convention (largest-magnitude entry of each
+left vector is made positive, the paired right vector flips with it) so
+repeated calls return bit-identical output. The fit loop's rank-r part
+(``top_pair``, one ``eigh``) needs none; the fitted model's factors come
+from one ``top_svd`` of each final part.
 """
 
 import math
@@ -71,87 +73,45 @@ def top_svd(a, r: int | None = None):
         return np.zeros((rows, 0)), np.zeros(0), np.zeros((0, cols))
     # Looked up at call time so a patched numpy.linalg.svd sees every call.
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    return _signed(u[:, :r], s[:r], vt[:r])
-
-
-def _signed(u, s, vt):
-    """The sign rule: the largest-magnitude entry of each left vector is made
-    positive and the paired right vector flips with it."""
+    u, s, vt = u[:, :r], s[:r], vt[:r]
     sign = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
     return u * sign, s, vt * sign[:, None]
-
-
-def _top_gram_vectors(arr, r: int):
-    """The tall orientation g of ``arr`` divided by its largest magnitude,
-    that magnitude, and the top-r eigenvectors of g^T g (one ``eigh``); None
-    where ``top_svd`` must be used instead (see ``top_factors``)."""
-    if not 0 < r < min(arr.shape):
-        return None
-    big = float(np.abs(arr).max())
-    if big == 0.0:
-        return None
-    g = (arr if arr.shape[0] >= arr.shape[1] else arr.T) / big
-    # Looked up at call time, like the SVD; the eigenvalues ascend.
-    evals, vecs = np.linalg.eigh(g.T @ g)
-    if evals[-r] <= 1e-8 * evals[-1]:
-        return None
-    return g, big, vecs[:, -r:]
-
-
-def top_factors(a, r: int):
-    """Top-r SVD factors (u, s, vt) of ``a`` with ``top_svd``'s signs, from
-    the eigenvectors of the smaller Gram matrix and one Rayleigh-Ritz step
-    (Halko, Martinsson & Tropp, arXiv:0909.4061, sections 4-5).
-
-    For a tall matrix the top-r eigenvectors V of a^T a span the top right
-    singular subspace; Q = qr(a V) is an orthonormal basis of the matching
-    left subspace, and the SVD of the small r x n matrix Q^T a gives the
-    factors (a wide matrix is handled through its transpose). The Gram only
-    chooses the subspace: the singular values come from a itself, and the
-    rank-r residual is second order in the subspace error. The entries are
-    divided by their largest magnitude first, so that tiny or huge entries
-    neither underflow nor overflow in the Gram.
-
-    Falls back to the exact ``top_svd`` when r = 0, when r >= min(rows,
-    cols), when ``a`` is all zero, and when s_r <= 1e-4 s_0: below that the
-    Gram's rounding (about eps s_0^2) blurs the subspace enough to move s_r
-    by more than 1e-12 s_0 on graded spectra.
-    """
-    arr = as_matrix(a)
-    found = _top_gram_vectors(arr, r)
-    if found is None:
-        return top_svd(arr, r)
-    g, big, vecs = found
-    q, _ = np.linalg.qr(g @ vecs)
-    w, s, zt = np.linalg.svd(q.T @ g, full_matrices=False)
-    if arr.shape[0] >= arr.shape[1]:
-        return _signed(q @ w, s * big, zt)
-    return _signed(zt.T, s * big, (q @ w).T)
 
 
 def top_pair(a: np.ndarray, r: int):
     """The rank-r part of ``a`` as the pair (a V, V): the part is
     (a V) V^T, and the r orthonormal columns of V span its row space.
 
-    This is the fit loop's update: the same single ``eigh``, scaling and
-    ``top_svd`` fallback as ``top_factors``, without its Rayleigh-Ritz
-    step, sign rule or input check, so ``a`` must be a finite 2-d float
-    array. For a tall ``a``, V is the Gram's eigenvectors. For a wide one
-    they are left vectors U, and V is a^T U with unit columns; those are
-    orthogonal to about eps s_0^2 / (s_i s_j). The columns come in no fixed
-    order and with no fixed signs, neither of which changes the part.
+    This is the fit loop's update: one ``eigh`` of the smaller Gram matrix,
+    without a sign rule or input check, so ``a`` must be a finite 2-d float
+    array. The entries are divided by their largest magnitude first, so
+    that tiny or huge entries neither underflow nor overflow in the Gram.
+    For a tall ``a``, V is the Gram's eigenvectors. For a wide one they are
+    left vectors U, and V is a^T U with unit columns; those are orthogonal
+    to about eps s_0^2 / (s_i s_j). The columns come in no fixed order and
+    with no fixed signs, neither of which changes the part.
+
+    Falls back to the exact ``top_svd`` when r >= min(rows, cols), when
+    ``a`` is all zero, and when s_r <= 1e-4 s_0: below that the Gram's
+    rounding (about eps s_0^2) blurs the subspace enough to move
+    ||a v_r|| = s_r by more than 1e-12 s_0 on graded spectra. r = 0 gives
+    an empty pair.
     """
     if r == 0:
         return np.zeros((a.shape[0], 0)), np.zeros((a.shape[1], 0))
-    found = _top_gram_vectors(a, r)
-    if found is None:
-        u, s, vt = top_svd(a, r)
-        return u * s, vt.T
-    g, _, vecs = found
-    if a.shape[0] < a.shape[1]:
-        vecs = g @ vecs
-        vecs /= np.sqrt(np.sum(vecs * vecs, axis=0))
-    return a @ vecs, vecs
+    big = float(np.abs(a).max()) if r < min(a.shape) else 0.0
+    if big > 0.0:
+        g = (a if a.shape[0] >= a.shape[1] else a.T) / big
+        # Looked up at call time, like the SVD; the eigenvalues ascend.
+        evals, vecs = np.linalg.eigh(g.T @ g)
+        if evals[-r] > 1e-8 * evals[-1]:
+            vecs = vecs[:, -r:]
+            if a.shape[0] < a.shape[1]:
+                vecs = g @ vecs
+                vecs /= np.sqrt(np.sum(vecs * vecs, axis=0))
+            return a @ vecs, vecs
+    u, s, vt = top_svd(a, r)
+    return u * s, vt.T
 
 
 def rank_mask(s) -> np.ndarray:

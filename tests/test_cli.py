@@ -342,6 +342,24 @@ def test_negative_seed_is_an_error(simdir, tmp_path, capsys, command, extra, see
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["fit", "benchmark"])
+def test_non_finite_tol_is_an_error(simdir, tmp_path, capsys, command, tol):
+    # A nan tolerance would run every fit to --max-iter and an infinite one
+    # would stop after one sweep; both exit 2 with nothing written.
+    cfg, data = simdir
+    if command == "benchmark":
+        argv = [command, "--config", str(cfg)]
+    else:
+        argv = [command, "--x", str(data / "X1.csv"), "--x", str(data / "X2.csv"),
+                "--y", str(data / "y.csv"), "--eta", "0.5", "--ranks", "1,1,1"]
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main([*argv, "--tol", tol, "--max-iter", "40", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: tol must be positive and finite, got {tol}\n"
+    assert not list(out.glob("*"))
+
+
 def test_samples_as_rows_gives_the_same_fit_and_predictions(simdir, tmp_path):
     _, data = simdir
     rows = tmp_path / "rows"

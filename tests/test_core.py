@@ -8,7 +8,6 @@ import sjive.data
 from sjive import core
 from sjive.core import FitConfig, Ranks, SJiveModel, fit, objective, rescale_identifiable
 from sjive.errors import ConfigError, DegeneracyError, RankError
-from sjive.linalg import top_factors, top_svd
 from sjive.simulate import SimConfig, generate
 
 from oracles import eq1_objective_scalar, max_principal_angle, reference_unsupervised_decomposition
@@ -44,8 +43,9 @@ def test_fit_config_validation():
         FitConfig(eta=0.0, ranks=Ranks(1, (1,)))
     with pytest.raises(ConfigError):
         FitConfig(eta=1.5, ranks=Ranks(1, (1,)))
-    with pytest.raises(ConfigError):
-        FitConfig(eta=0.5, ranks=Ranks(1, (1,)), tol=0.0)
+    for tol in (0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="tol must be positive and finite"):
+            FitConfig(eta=0.5, ranks=Ranks(1, (1,)), tol=tol)
 
 
 def test_objective_zero_for_exact_decomposition():
@@ -122,10 +122,10 @@ def test_fit_initial_sweep_captures_most_signal():
 def test_sweep_is_a_pure_map_of_the_individual_parts():
     # The ALS state is the stacked individual parts [W_i; theta2_i] S_i: a
     # sweep leaves its arguments unchanged, its result depends on nothing
-    # else, and it reports the residual energy of the joint part and the
-    # parts it returns. The factored sweep's parts are its factors' products
-    # F_i @ S_i, and the default path's pair sweep gives the same parts as
-    # the top_factors sweep to rounding.
+    # else, its joint part is the update of the data less those parts, and
+    # it reports the residual energy of the joint part and the parts it
+    # returns. This holds for the default path's pair update and the
+    # reference path's full-SVD update, which agree to rounding.
     rng = np.random.default_rng(4)
     offsets = [(0, 5), (5, 9)]
     stacked = rng.normal(size=(10, 7))
@@ -133,35 +133,29 @@ def test_sweep_is_a_pure_map_of_the_individual_parts():
     before = [stacked.copy(), *(p.copy() for p in parts)]
     ranks = Ranks(1, (1, 2))
     floor = core.RANK_TOL * float(np.linalg.norm(stacked))
-    pair = partial(core._pair_update, floor=floor)
     R = stacked.copy()  # the joint update's matrix
     for (a, b), part in zip(offsets, parts):
         R[a:b] -= part[:-1]
     R[-1] -= sum(part[-1] for part in parts)
-    runs = [(lambda: core._sweep(stacked, offsets, ranks, parts, pair), pair(R, ranks.joint)[0])]
-    for factorize in (top_factors, top_svd):
-        (L, S_J, F, S), new_parts, _ = core._factored_sweep(
-            stacked, offsets, ranks, parts, factorize, floor)
-        for f, s, part in zip(F, S, new_parts):
-            assert np.array_equal(f @ s, part)
-        runs.append((lambda f=factorize: core._factored_sweep(
-            stacked, offsets, ranks, parts, f, floor)[1:], L @ S_J))
     results = []
-    for run, joint in runs:
-        new_parts, obj = run()
+    for update in (core._pair_update, core._svd_update):
+        update = partial(update, floor=floor)
+        joint, new_parts, obj = core._sweep(stacked, offsets, ranks, parts, update)
         assert all(np.array_equal(a, b) for a, b in zip(before, [stacked, *parts]))
-        again, obj_again = run()
+        joint_again, again, obj_again = core._sweep(stacked, offsets, ranks, parts, update)
         assert obj_again == obj
-        assert all(np.array_equal(a, b) for a, b in zip(again, new_parts))
+        assert all(np.array_equal(a, b) for a, b in zip([joint_again, *again],
+                                                       [joint, *new_parts]))
+        assert np.array_equal(joint, update(R, ranks.joint)[0])
         resid = stacked - joint
         for (a, b), part in zip(offsets, new_parts):
             resid[a:b] -= part[:-1]
         resid[-1] -= sum(part[-1] for part in new_parts)
         assert obj == pytest.approx(float(np.sum(resid * resid)), rel=1e-14)
-        results.append((new_parts, obj))
-    (pair_parts, pair_obj), (canonical_parts, canonical_obj), _ = results
-    assert pair_obj == pytest.approx(canonical_obj, rel=1e-12)
-    for a, b in zip(pair_parts, canonical_parts):
+        results.append(([joint, *new_parts], obj))
+    (pair_parts, pair_obj), (svd_parts, svd_obj) = results
+    assert pair_obj == pytest.approx(svd_obj, rel=1e-12)
+    for a, b in zip(pair_parts, svd_parts):
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -285,23 +279,23 @@ def test_fit_max_iter_flag():
     (4.000001, [5.0, 4.0, 4.000001], True),  # a rise within tol * 4 counts as a stall
 ])
 def test_rising_sweep_is_not_convergence(monkeypatch, third, trace, converged):
-    # The model is built from the factored pass, which starts where the last
-    # accepted sweep started: the sweep before a risen one.
+    # The model is factored from the parts of the last accepted sweep (the
+    # sweep before a risen one), and no sweep runs after the loop.
     rng = np.random.default_rng(13)
     blocks = [rng.normal(size=(6, 10)), rng.normal(size=(5, 10))]
     y = rng.normal(size=10)
     objectives = iter([5.0, 4.0, third])
-    starts, passes, built = [], [], []
-    real_sweep, real_factored, real_build = core._sweep, core._factored_sweep, core._build_model
+    sweeps, factored, built = [], [], []
+    real_sweep, real_factor, real_build = core._sweep, core._factor, core._build_model
 
-    def sweep(stacked, offsets, ranks, parts, update):
-        starts.append(parts)
-        new_parts, obj = real_sweep(stacked, offsets, ranks, parts, update)
-        return new_parts, next(objectives, obj)
+    def sweep(*args):
+        joint, new_parts, obj = real_sweep(*args)
+        sweeps.append([joint, *new_parts])
+        return joint, new_parts, next(objectives, obj)
 
-    def factored(*args):
-        result = real_factored(*args)
-        passes.append((args[3], result[0]))
+    def factor(m, r, floor):
+        result = real_factor(m, r, floor)
+        factored.append((m, result))
         return result
 
     def build(factors, *args):
@@ -309,16 +303,18 @@ def test_rising_sweep_is_not_convergence(monkeypatch, third, trace, converged):
         return real_build(factors, *args)
 
     monkeypatch.setattr(core, "_sweep", sweep)
-    monkeypatch.setattr(core, "_factored_sweep", factored)
+    monkeypatch.setattr(core, "_factor", factor)
     monkeypatch.setattr(core, "_build_model", build)
     _, report = fit(blocks, y, FitConfig(eta=0.5, ranks=Ranks(1, (1, 1))))
     assert report.objective_trace == trace
     assert report.final_objective == trace[-1]
     assert report.converged is converged
-    # three sweeps in the loop, then the factored pass's own
-    assert len(starts) == 4 and len(passes) == 1 and len(built) == 1
-    assert passes[0][0] is starts[len(trace) - 1] and starts[3] is passes[0][0]
-    assert built[0] is passes[0][1]
+    # three sweeps in the loop, then one factorization of each part
+    assert len(sweeps) == 3 and len(factored) == 3 and len(built) == 1
+    assert all(m is part for (m, _), part in zip(factored, sweeps[len(trace) - 1]))
+    (L, S_J, F, S), (joint, *indiv) = built[0], [result for _, result in factored]
+    assert L is joint[0] and S_J is joint[1]
+    assert all(f is u and si is s for f, si, (u, s, _) in zip(F, S, indiv))
 
 
 def test_fit_rejects_constant_outcome():

@@ -424,7 +424,7 @@ def test_fit_on_compressed_matches_raw():
     # Tall blocks fitted via their score representation give the same
     # objective and joint approximation as the raw fit. Square blocks are
     # never compressed, so there the two fits differ only in the kernel
-    # (top_pair updates and a top_factors pass against the full SVD).
+    # (top_pair updates against the full SVD).
     rng = np.random.default_rng(35)
     n = 24
     for p in (60, n):

@@ -11,7 +11,7 @@ from sjive.linalg import (
     qr_orthonormalize,
     rank_mask,
     regress_on_rows,
-    top_factors,
+    top_pair,
     top_svd,
     unit_frame,
 )
@@ -288,34 +288,39 @@ def _kernel_input(kind, m, n, scale_exp, seed):
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 # s_5 = 5e-10 s_0: the Gram cannot resolve it (without the exact fallback
-# the kernel's s_5 is off by 2e-10 s_0).
+# the column of a V that carries s_5 is off by 2e-7 s_0).
 @example("graded", 8, 12, 5, 85, 31823245)
-def test_top_factors_matches_top_svd(kind, m, n, r, scale_exp, seed):
-    # The Gram-plus-Rayleigh-Ritz kernel against the exact SVD on tall, wide
+def test_top_pair_matches_top_svd(kind, m, n, r, scale_exp, seed):
+    # The fit loop's one-eigh kernel against the exact SVD on tall, wide
     # and square inputs, rank-deficient, tied and all-zero ones, at scales
-    # from 1e-300 to 1e300: same sign rule, orthonormal factors, singular
-    # values and rank-r residual within 1e-12 s_0, and the same subspaces
-    # wherever the gap s_r - s_(r+1) exceeds 1e-6 s_0, up to 1e-11 s_0 / gap
-    # (the Gram's rounding bound eps s_0^2 / (s_r gap), with s_r > 1e-4 s_0).
+    # from 1e-300 to 1e300. The columns of a V carry the singular values
+    # within 1e-12 s_0; V is orthonormal to about eps s_0^2 / (s_i s_j)
+    # (top_pair's docstring); the rank-r part (a V) V^T leaves the exact
+    # rank-r residual within 1e-12 s_0^2; and wherever the gap
+    # s_r - s_(r+1) exceeds 1e-6 s_0, V and the part match the exact ones up
+    # to 1e-11 s_0 / gap (the Gram's rounding bound eps s_0^2 / (s_r gap),
+    # with s_r > 1e-4 s_0). Where top_pair falls back to top_svd, the part
+    # is the exact one bit for bit.
     r = min(r, m, n)
     a = _kernel_input(kind, m, n, scale_exp, seed)
-    u, s, vt = top_factors(a, r)
-    assert (u.shape, s.shape, vt.shape) == ((m, r), (r,), (r, n))
-    for j in range(r):
-        assert u[np.argmax(np.abs(u[:, j])), j] > 0
-    assert u.T @ u == pytest.approx(np.eye(r), abs=1e-12)
-    assert vt @ vt.T == pytest.approx(np.eye(r), abs=1e-12)
+    av, v = top_pair(a, r)
+    assert (av.shape, v.shape) == ((m, r), (n, r))
     _, full, _ = top_svd(a)
     s0 = full[0] if full[0] > 0.0 else 1.0
     eu, es, evt = top_svd(a, r)
-    assert s / s0 == pytest.approx(es / s0, rel=0, abs=1e-12)
-    resid = float(np.sum((a / s0 - _reconstruct(u, s / s0, vt)) ** 2))
+    part, exact = av @ v.T, (eu * es) @ evt
+    sv = np.sqrt(np.sum((av / s0) ** 2, axis=0))
+    assert np.sort(sv)[::-1] == pytest.approx(es / s0, rel=0, abs=1e-12)
+    sv = np.maximum(sv, 1e-4)
+    assert np.all(np.abs(v.T @ v - np.eye(r)) <= 1e-14 / np.outer(sv, sv))
+    resid = float(np.sum(((a - part) / s0) ** 2))
     assert resid == pytest.approx(float(np.sum((full[r:] / s0) ** 2)), rel=0, abs=1e-12)
     if 0 < r < min(m, n) and full[r - 1] - full[r] > 1e-6 * s0:
-        assert np.abs(u @ u.T - eu @ eu.T).max() <= 1e-11 * s0 / (full[r - 1] - full[r])
-        assert np.abs(vt.T @ vt - evt.T @ evt).max() <= 1e-11 * s0 / (full[r - 1] - full[r])
+        bound = 1e-11 * s0 / (full[r - 1] - full[r])
+        assert np.abs(v @ v.T - evt.T @ evt).max() <= bound
+        assert np.abs((part - exact) / s0).max() <= bound
     if r == 0 or r == min(m, n) or not a.any():
-        assert np.array_equal(u, eu) and np.array_equal(s, es) and np.array_equal(vt, evt)
+        assert np.array_equal(part, exact)
 
 
 def test_row_space_basis_shapes():

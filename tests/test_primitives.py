@@ -68,8 +68,9 @@ def test_least_squares_fallback_warns_once_in_both_callers():
 def test_svd_is_looked_up_at_call_time(monkeypatch):
     # Replacements installed on numpy.linalg see every SVD, eigh and QR of a
     # fit. The default path's loop makes one eigh per nonzero-rank update per
-    # sweep and no QR or SVD: those belong to the one factored pass at the
-    # end, so their count does not grow with the iterations.
+    # sweep and no QR or SVD; the model's factors take one SVD per
+    # nonzero-rank part at the end, so that count does not grow with the
+    # iterations.
     rng = np.random.default_rng(3)
     blocks = [rng.normal(size=(6, 9)), rng.normal(size=(5, 9))]
     y = rng.normal(size=9)
@@ -88,7 +89,7 @@ def test_svd_is_looked_up_at_call_time(monkeypatch):
                                                  tol=1e-16))
             monkeypatch.undo()
             assert report.iterations == max_iter
-            # iterations + 1 sweeps in the loop, and the factored pass
-            assert calls["eigh"] == updates * (report.iterations + 2)
+            # iterations + 1 sweeps in the loop
+            assert calls["eigh"] == updates * (report.iterations + 1)
             counts.append((calls["svd"], calls["qr"]))
-        assert counts[0] == counts[1] == (updates, updates)
+        assert counts[0] == counts[1] == (updates, 0)

@@ -3,7 +3,8 @@ blocks compressed or not): the objective never rises, row(S_i) is
 orthogonal to row(S_J), every stacked frame not flagged degenerate has unit
 norm, and eta = 1 gives the unsupervised decomposition. Alongside them: a
 component is flagged degenerate exactly when its score row is all zero,
-and then its loadings and outcome coefficient are zero too."""
+and then its loadings and outcome coefficient are zero too; and the
+model's objective is the fit's final objective."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_unsupervised_decomposition
-from sjive.core import FitConfig, Ranks, fit
+from sjive.core import FitConfig, Ranks, fit, objective
 
 
 @st.composite
@@ -55,6 +56,9 @@ def test_fit_invariants(compress, problem):
     if cfg.eta < 1.0:
         scale += (1.0 - cfg.eta) * float(y @ y)
     assert np.all(np.diff(trace) <= 1e-10 * np.maximum(trace[:-1], 1e-18 * scale))
+    # The model is factored from the parts of the last accepted sweep, so
+    # its objective is the trace's last value up to rounding of that norm.
+    assert objective(blocks, y, model) == pytest.approx(trace[-1], rel=0, abs=1e-12 * scale)
     for s in model.indiv_scores:
         assert np.abs(_unit(model.joint_scores) @ _unit(s).T).max(initial=0.0) <= 1e-8
     # At eta = 1 the coefficients are fitted afterwards and stay outside the frame.
