@@ -159,10 +159,18 @@ def _count_unconverged(reports) -> dict:
 
 def _load_and_score(args):
     """Model, new data standardized with its training moments, the raw
-    outcome (None without ``--y``), and scores."""
+    outcome (None without ``--y``), and scores. Each block's variable ids,
+    once the model's dropped constants are removed, must be the model's in
+    the same order."""
     model, _ = load_model(args.model)
     raw, y_raw = _read_inputs(args)
     data = standardize_with(raw, model.block_scalers) if model.block_scalers else raw
+    for i, (ids, expected) in enumerate(zip(data.variable_ids, model.variable_ids or [])):
+        for j, (got, want) in enumerate(zip(ids, expected)):
+            if got != want:
+                raise ParseError(f"{args.x[i]}: variable {j + 1} of block {i + 1} is {got!r} "
+                                 f"where the model has {want!r}; the blocks must list the "
+                                 "model's variables in the same order")
     return model, data, y_raw, estimate_scores(model, data)
 
 
@@ -309,12 +317,9 @@ def _cmd_evaluate(args, outdir):
     yhat_raw = predict(model, est)
     outputs = {}
     if y_raw is not None:
-        if model.outcome_scaler is not None:
-            y_std = standardize_outcome_with(y_raw.values, model.outcome_scaler)
-            yhat_std = predict(model, est, standardized=True)
-        else:
-            y_std, yhat_std = y_raw.values, yhat_raw
-        mse = test_mse(y_std, yhat_std)
+        y_std = (y_raw.values if model.outcome_scaler is None
+                 else standardize_outcome_with(y_raw.values, model.outcome_scaler))
+        mse = test_mse(y_std, predict(model, est, standardized=True))
         write_csv(outdir / "predictions_scatter.csv", np.column_stack([y_raw.values, yhat_raw]),
                   data.sample_ids, ["y_true", "y_pred"], corner="sample_id")
         _write_rows(outdir / "metrics.csv", ["metric", "value"],

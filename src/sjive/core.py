@@ -21,6 +21,7 @@ gauge without changing any fitted value.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -40,7 +41,13 @@ class Ranks:
     individual: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "individual", tuple(int(r) for r in self.individual))
+        try:
+            joint, *individual = map(operator.index, (self.joint, *self.individual))
+        except TypeError:
+            raise RankError(
+                f"ranks must be integers, got {self.joint!r}, {self.individual!r}") from None
+        object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "individual", tuple(individual))
         if self.joint < 0 or any(r < 0 for r in self.individual):
             raise RankError("ranks must be nonnegative")
 
@@ -81,6 +88,10 @@ class FitConfig:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
         if not 0.0 < self.tol < np.inf:  # also rejects nan
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
+        try:
+            self.max_iter = operator.index(self.max_iter)
+        except TypeError:
+            raise ConfigError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
 

@@ -1,6 +1,6 @@
 """Dense-matrix primitives: the signed truncated SVD, the rank-r part the
-fit loop iterates on, least squares on score rows, the unit-norm gauge fix,
-QR and row-space projections, plus the number of threads that may run them
+fit loop iterates on, least squares on score rows, the unit-norm gauge fix
+and QR orthonormalization, plus the number of threads that may run them
 side by side.
 
 Every matrix function here is pure and deterministic, and each is the
@@ -114,14 +114,6 @@ def top_pair(a: np.ndarray, r: int):
     return u * s, vt.T
 
 
-def rank_mask(s) -> np.ndarray:
-    """Singular values that count as nonzero: above RANK_TOL times the
-    largest; none at all when the largest is zero."""
-    if not s.size or s[0] <= 0.0:
-        return np.zeros(s.shape, dtype=bool)
-    return s > RANK_TOL * s[0]
-
-
 def regress_on_rows(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of y on the rows of z, without intercept.
 
@@ -183,18 +175,3 @@ def qr_orthonormalize(a) -> np.ndarray:
     if scale == 0.0 or np.any(np.abs(diag) <= RANK_TOL * scale):
         raise DegeneracyError("input is rank-deficient; columns are linearly dependent")
     return q * np.sign(diag)[None, :]
-
-
-def proj_complement_rows(s) -> np.ndarray:
-    """Projector onto the orthogonal complement of the row space of s.
-
-    Returns the n x n symmetric idempotent matrix I - s^T (s s^T)^+ s; the
-    pseudoinverse handles rank-deficient s, so a zero matrix maps to I.
-    """
-    arr = as_matrix(s)
-    r, n = arr.shape
-    if r > n:
-        raise ShapeError(f"need r <= n for an r x n score matrix, got {arr.shape}")
-    _, sv, vt = top_svd(arr)
-    basis = vt[rank_mask(sv)].T
-    return np.eye(n) - basis @ basis.T

@@ -707,3 +707,49 @@ def test_one_block_through_every_command(tmp_path):
                  "--out", str(tmp_path / "eval")]) == 0
     rec = {r[0]: float(r[1]) for r in _read_rows(tmp_path / "eval" / "recovery.csv")[1:]}
     assert list(rec) == ["joint", "block1"]
+
+
+def test_blocks_must_list_the_model_variables_in_order(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CFG.replace("n = 24", "n = 60").replace("seed = 5", "seed = 3"),
+                   encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    # Variable b1_v2 is made constant, so the model drops it.
+    x1 = load_csv(data / "X1.csv")
+    x1.values[1] = 0.25
+    write_csv(data / "X1.csv", x1.values, x1.row_ids, x1.col_ids)
+    x2 = load_csv(data / "X2.csv")
+    fitdir = tmp_path / "fit"
+    assert main(["fit", "--x", str(data / "X1.csv"), "--x", str(data / "X2.csv"),
+                 "--y", str(data / "y.csv"), "--ranks", "1,1,1", "--drop-constant",
+                 "--out", str(fitdir)]) == 0
+
+    def run(name, rows1, rows2):
+        paths = [tmp_path / f"{name}_X1.csv", tmp_path / f"{name}_X2.csv"]
+        for path, mat, rows in zip(paths, (x1, x2), (rows1, rows2)):
+            write_csv(path, mat.values[rows], [mat.row_ids[r] for r in rows], mat.col_ids)
+        xs = [arg for path in paths for arg in ("--x", str(path))]
+        codes = []
+        for command in ("predict", "evaluate"):
+            out = tmp_path / f"{name}_{command}"
+            codes.append(main([command, "--model", str(fitdir / "model.zip"), *xs,
+                               "--out", str(out)]))
+            assert (out / "manifest.txt").exists() is (codes[-1] == 0)
+        return codes, capsys.readouterr().err
+
+    in_order = [list(range(15)), list(range(12))]
+    assert run("full", *in_order)[0] == [0, 0]
+    assert run("kept", [0, *range(2, 15)], in_order[1])[0] == [0, 0]
+    codes, err = run("reversed", in_order[0][::-1], in_order[1])
+    assert codes == [2, 2]
+    assert "variable 1 of block 1 is 'b1_v15' where the model has 'b1_v1'" in err
+    # Positions count the variables left once the model's constant b1_v2 is
+    # dropped: file row 3 is the model's variable 2.
+    codes, err = run("swapped", [0, 1, 3, 2, *range(4, 15)], in_order[1])
+    assert codes == [2, 2]
+    assert "variable 2 of block 1 is 'b1_v4' where the model has 'b1_v3'" in err
+    x2.row_ids[5] = "gene6"
+    codes, err = run("renamed", in_order[0], in_order[1])
+    assert codes == [2, 2]
+    assert "renamed_X2.csv: variable 6 of block 2 is 'gene6' where the model has 'b2_v6'" in err

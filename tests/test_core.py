@@ -48,6 +48,23 @@ def test_fit_config_validation():
             FitConfig(eta=0.5, ranks=Ranks(1, (1,)), tol=tol)
 
 
+def test_ranks_must_be_integers():
+    for joint, individual in ((1.5, (1, 1)), (1, (1.7, 1)), (1, (1, 2.0)), ("1", (1, 1))):
+        with pytest.raises(RankError, match="ranks must be integers"):
+            Ranks(joint, individual)
+    # Integer types are stored as plain ints, so the ranks print as --ranks spells them.
+    r = Ranks(True, (np.int64(2), np.int32(0)))
+    assert str(r) == "1,2,0"
+    assert [type(v) for v in (r.joint, *r.individual)] == [int, int, int]
+
+
+def test_max_iter_must_be_an_integer():
+    for max_iter in (2.5, 3.0, "3"):
+        with pytest.raises(ConfigError, match="max_iter must be an integer"):
+            FitConfig(eta=0.5, ranks=Ranks(1, (1,)), max_iter=max_iter)
+    assert type(FitConfig(eta=0.5, ranks=Ranks(1, (1,)), max_iter=np.int64(7)).max_iter) is int
+
+
 def test_objective_zero_for_exact_decomposition():
     cfg = SimConfig(k=2, p=(12, 9), n=15, rank_joint=1, rank_indiv=(1, 1), seed=1)
     data, y, truth = generate(cfg)

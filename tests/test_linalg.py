@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from sjive.errors import DegeneracyError, InputError, RankError, ShapeError
 from sjive.linalg import (
-    proj_complement_rows,
+    RANK_TOL,
     qr_orthonormalize,
-    rank_mask,
     regress_on_rows,
     top_pair,
     top_svd,
@@ -174,52 +173,6 @@ def test_qr_orthonormalize_rank_deficient():
         qr_orthonormalize(np.ones((2, 4)))
 
 
-def test_proj_complement_single_row():
-    p = proj_complement_rows([[1.0, 0.0, 0.0]])
-    assert p == pytest.approx(np.diag([0.0, 1.0, 1.0]))
-
-
-def test_proj_complement_zero_rows():
-    p = proj_complement_rows(np.zeros((1, 3)))
-    assert p == pytest.approx(np.eye(3))
-
-
-def test_proj_complement_random():
-    rng = np.random.default_rng(13)
-    s = rng.normal(size=(2, 6))
-    p = proj_complement_rows(s)
-    assert p @ p == pytest.approx(p, abs=1e-10)
-    assert s @ p == pytest.approx(np.zeros((2, 6)), abs=1e-10)
-    rank = int(np.sum(np.linalg.svd(s, compute_uv=False) > 1e-10))
-    assert np.trace(p) == pytest.approx(6 - rank, abs=1e-8)
-
-
-def test_proj_complement_rank_deficient_rows():
-    # Duplicated rows must still give an exact projector via the pseudoinverse.
-    s = np.array([[1.0, 2.0, 0.0, 1.0], [2.0, 4.0, 0.0, 2.0]])
-    p = proj_complement_rows(s)
-    assert p @ p == pytest.approx(p, abs=1e-10)
-    assert s @ p == pytest.approx(np.zeros_like(s), abs=1e-10)
-    assert np.trace(p) == pytest.approx(3.0, abs=1e-8)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=4, max_value=8),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_proj_complement_properties(r, n, seed):
-    rng = np.random.default_rng(seed)
-    s = rng.normal(size=(r, n))
-    if seed % 3 == 0 and r > 1:
-        s[-1] = s[0]  # force rank deficiency
-    p = proj_complement_rows(s)
-    assert np.allclose(p, p.T, atol=1e-12)
-    assert np.allclose(p @ p, p, atol=1e-10)
-    assert np.allclose(s @ p, 0.0, atol=1e-8 * max(1.0, np.abs(s).max()))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=7),
@@ -324,18 +277,13 @@ def test_top_pair_matches_top_svd(kind, m, n, r, scale_exp, seed):
 
 
 def test_row_space_basis_shapes():
-    # The kept right singular vectors are the row-space basis.
-    s = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    # The right singular vectors above RANK_TOL * s_0 are the row-space
+    # basis; a repeated row adds none.
+    s = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
     _, sv, vt = top_svd(s)
-    b = vt[rank_mask(sv)].T
+    b = vt[sv > RANK_TOL * sv[0]].T
     assert b.shape == (3, 2)
     assert b.T @ b == pytest.approx(np.eye(2), abs=1e-12)
-
-
-def test_rank_mask_rule():
-    assert rank_mask(np.array([2.0, 1.0, 1e-11])).tolist() == [True, True, False]
-    assert rank_mask(np.zeros(3)).tolist() == [False, False, False]
-    assert rank_mask(np.zeros(0)).shape == (0,)
 
 
 def test_regress_on_rows_solves_normal_equations():

@@ -1,6 +1,7 @@
 """One implementation per job: singular vectors, the least-squares fallback
 and the SVD, eigh and QR call sites all live in ``sjive.linalg``."""
 
+import ast
 import re
 import warnings
 from pathlib import Path
@@ -39,6 +40,21 @@ def test_svd_and_pinv_fallback_only_in_linalg():
         if "LinAlgError" in text:
             offenders.append(f"{path.name}: LinAlgError fallback")
     assert offenders == []
+
+
+def test_every_linalg_function_has_a_caller_elsewhere():
+    # A primitive that only its own module or a test calls is not one the
+    # package needs.
+    def called(tree):
+        return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+    public = [node.name for node in ast.parse((SRC / "linalg.py").read_text(encoding="utf-8")).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    used = set().union(*(called(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in SRC.glob("*.py") if path.name != "linalg.py"))
+    assert public and [name for name in public if name not in used] == []
 
 
 def _singular_problem():

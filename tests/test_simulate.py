@@ -60,6 +60,19 @@ def test_scores_orthogonal():
         assert np.abs(cross).max() < 1e-10
 
 
+def test_zero_joint_scores_leave_individual_draws_unprojected():
+    # All-zero joint score rows have an empty row space, so the projector is
+    # the identity and the individual part is the one a joint rank of 0 gives.
+    base = dict(k=2, p=(10, 12), n=12, rank_indiv=(1, 2), x_err=0.2, y_err=0.2, seed=4)
+    data, y, truth = generate(SimConfig(**base, rank_joint=1, w_joint=0.0))
+    data0, y0, truth0 = generate(SimConfig(**base, rank_joint=0))
+    assert not np.any(truth.joint_scores)
+    for s, s0, b, b0 in zip(truth.indiv_scores, truth0.indiv_scores, data.blocks, data0.blocks):
+        assert s == pytest.approx(s0, rel=1e-14, abs=1e-14)
+        assert b == pytest.approx(b0, rel=1e-14, abs=1e-14)
+    assert y.values == pytest.approx(y0.values, rel=1e-14, abs=1e-14)
+
+
 def test_qr_frames_orthonormal():
     cfg = SimConfig(k=2, p=(10, 12), n=20, rank_joint=2, rank_indiv=(2, 1),
                     x_err=0.3, y_err=0.2, seed=3)
@@ -137,8 +150,8 @@ def test_r_prop_restricts_predictive_directions():
 
 def test_eigen_signal_report_noiseless():
     cfg = SimConfig(k=2, p=(10, 10), n=15, rank_joint=1, rank_indiv=(1, 1), seed=9)
-    data, _, truth = generate(cfg)
-    sig, noise = eigen_signal_report(truth, data)
+    _, _, truth = generate(cfg)
+    sig, noise = eigen_signal_report(truth)
     assert noise == 0.0
     assert sig > 0.0
 
